@@ -56,32 +56,13 @@ func Resume(cfg Config, data []byte) (*Sim, error) {
 	return s, nil
 }
 
-// stopAtCheckpoint seals a run halted by ErrStopAfterCheckpoint. Unlike
-// truncate it emits NO trace event: the halt is invisible to the event
-// stream, which is what makes a halted trace plus its continuation
-// byte-identical to the uninterrupted trace.
-func (s *Sim) stopAtCheckpoint(data []byte) *Result {
-	res := s.finish()
-	res.Duration = s.now
-	res.Diagnosis = &Diagnosis{
-		Reason:       "checkpoint-stop",
-		SimTime:      s.now,
-		BacklogBytes: res.LeftoverBytes,
-		Events:       res.Decisions,
-		Seed:         s.cfg.Seed,
-		TableEpoch:   s.table.Epoch(),
-		Checkpoint:   data,
-	}
-	return res
-}
-
 // flushWindow emits one streaming-results window: completions, goodput,
 // and mean FCT over the window just ended (cumulative deltas against the
 // previous flush) plus the instantaneous fabric backlog, then trims the
 // in-memory series to their retention bound.
 func (s *Sim) flushWindow() {
-	completed := s.res.CompletedFlows - s.winCompleted0
-	departed := s.res.DepartedBytes - s.winDeparted0
+	completed := s.completedFlows - s.winCompleted0
+	departed := s.departedBytes - s.winDeparted0
 	fctSum := s.fctSum - s.winFCTSum0
 	s.cfg.Obs.Emit(s.now, "window.completed", -1, float64(completed), "")
 	s.cfg.Obs.Emit(s.now, "window.gbps", -1, departed*8/s.cfg.StreamWindow/1e9, "")
@@ -91,8 +72,8 @@ func (s *Sim) flushWindow() {
 	}
 	s.cfg.Obs.Emit(s.now, "window.fct_avg_ms", -1, avgMs, "")
 	s.cfg.Obs.Emit(s.now, "window.backlog", -1, s.table.TotalBacklog(), "")
-	s.winCompleted0 = s.res.CompletedFlows
-	s.winDeparted0 = s.res.DepartedBytes
+	s.winCompleted0 = s.completedFlows
+	s.winDeparted0 = s.departedBytes
 	s.winFCTSum0 = s.fctSum
 	s.res.QueueSeries.TrimToTail(s.cfg.StreamKeep)
 	s.res.TotalBacklogSeries.TrimToTail(s.cfg.StreamKeep)
@@ -114,14 +95,14 @@ func (s *Sim) captureState() (*checkpoint.State, error) {
 		SimTime:        s.now,
 		NextID:         int64(s.nextID),
 		NextSample:     s.nextSample,
-		ArrivedFlows:   s.res.ArrivedFlows,
-		CompletedFlows: s.res.CompletedFlows,
-		ArrivedBytes:   s.res.ArrivedBytes,
-		DepartedBytes:  s.res.DepartedBytes,
+		ArrivedFlows:   s.arrivedFlows,
+		CompletedFlows: s.completedFlows,
+		ArrivedBytes:   s.arrivedBytes,
+		DepartedBytes:  s.departedBytes,
 		FCTSum:         s.fctSum,
-		FaultCounters:  s.res.Faults,
-		FCT:            s.res.FCT.StateSnapshot(),
-		Throughput:     s.res.Throughput.StateSnapshot(),
+		FaultCounters:  s.faultCounts,
+		FCT:            s.fct.StateSnapshot(),
+		Throughput:     s.thr.StateSnapshot(),
 
 		QueueSeries:        s.res.QueueSeries,
 		TotalBacklogSeries: s.res.TotalBacklogSeries,
@@ -297,14 +278,14 @@ func (s *Sim) restoreState(st *checkpoint.State) error {
 		s.pendingArrival = st.PendingArrival
 	}
 	s.decision = decision
-	s.res.ArrivedFlows = st.ArrivedFlows
-	s.res.CompletedFlows = st.CompletedFlows
-	s.res.ArrivedBytes = st.ArrivedBytes
-	s.res.DepartedBytes = st.DepartedBytes
+	s.arrivedFlows = st.ArrivedFlows
+	s.completedFlows = st.CompletedFlows
+	s.arrivedBytes = st.ArrivedBytes
+	s.departedBytes = st.DepartedBytes
 	s.fctSum = st.FCTSum
-	s.res.Faults = st.FaultCounters
-	s.res.FCT = fct
-	s.res.Throughput = thr
+	s.faultCounts = st.FaultCounters
+	s.fct = fct
+	s.thr = thr
 	s.res.QueueSeries = queueSeries
 	s.res.TotalBacklogSeries = totalSeries
 	s.res.MaxPortSeries = maxSeries

@@ -36,10 +36,6 @@ import (
 	"basrpt/internal/workload"
 )
 
-// completionEps is the residual (bytes) below which a flow counts as done;
-// it absorbs float drift over long runs.
-const completionEps = 1e-6
-
 // Config parameterizes a fabric run.
 type Config struct {
 	// Hosts is the number of fabric ports (servers).
@@ -221,6 +217,8 @@ type Diagnosis struct {
 	CheckpointErr string
 }
 
+// String renders the diagnosis as a one-line summary, followed by the
+// captured flight-recorder events when Verbose is set.
 func (d *Diagnosis) String() string {
 	s := fmt.Sprintf("truncated (%s) at t=%.4gs: backlog %.4g bytes after %d decisions (seed %d, epoch %d)",
 		d.Reason, d.SimTime, d.BacklogBytes, d.Events, d.Seed, d.TableEpoch)
@@ -334,68 +332,42 @@ func (r *Result) DecisionsPerSec() float64 {
 	return float64(r.Decisions) / (float64(r.SchedNanos) * 1e-9)
 }
 
-// Sim is a single fabric simulation. Build with New, execute with Run.
+// Sim is a single fabric simulation: the package's event-loop kernel run
+// over every host, with arrivals drawn from the configured generator and
+// checkpoints, streaming windows, and the watchdog layered on top. Build
+// with New, execute with Run.
 type Sim struct {
+	kernel
 	cfg    Config
-	table  *flow.Table
-	now    float64
 	nextID flow.ID
+	res    *Result
 
-	decision []*flow.Flow
-	byteRate float64 // bytes/s per selected flow at full link rate
-
-	// nextCompletion caches the absolute time the earliest transmitting
-	// flow finishes (+Inf: none will on its own). advanceTo refreshes it
-	// during its drain pass and reschedule after each new decision, so the
-	// event loop reads it instead of rescanning the decision every event.
-	nextCompletion float64
-
-	scheduler sched.Scheduler       // cfg.Scheduler, possibly wrapped
-	fallback  *sched.OutageFallback // non-nil iff faults are injected
-	// clearsDirty: the configured scheduler does not consume the table's
-	// dirty-VOQ feed, so the sim clears it after every decision to keep
-	// the dirty set from growing without bound.
-	clearsDirty bool
-
-	pendingArrival  workload.Arrival
-	hasPending      bool
-	nextSample      float64
-	res             *Result
-	drainAccumStart float64
+	pendingArrival workload.Arrival
+	hasPending     bool
 
 	// Checkpoint/streaming machinery. pendingTruncate defers a watchdog
-	// stop to the next event-loop top — the only place the state is
-	// consistent enough to checkpoint — so every truncation Diagnosis can
-	// carry a resumable snapshot. fctSum and the win* trackers feed the
-	// streaming windows' delta computations; all of them are serialized
-	// verbatim so a resumed run's windows match the uninterrupted run's.
+	// stop to the next loop top — the only place the state is consistent
+	// enough to checkpoint — so every truncation Diagnosis can carry a
+	// resumable snapshot; haltData is the checkpoint a sink halted the run
+	// on. The win* trackers feed the streaming windows' delta
+	// computations; all of them are serialized verbatim so a resumed run's
+	// windows match the uninterrupted run's.
 	nextCheckpoint  float64
 	nextWindow      float64
 	pendingTruncate string
+	haltData        []byte
 	resumed         bool
-	fctSum          float64
 	winDeparted0    float64
 	winCompleted0   int
 	winFCTSum0      float64
+	wallStart       time.Time
+	iter            int64
 
-	// Steady-state allocation avoidance: completed flows recycle through
-	// pool into the next arrivals (poolOn — see Config.DisableFlowPool),
-	// decisions are re-checked by a scratch-owning validator, and
-	// deepValidate keeps its per-port accumulators across calls.
-	pool      flow.FreeList
-	poolOn    bool
-	validator sched.Validator
-	dvIngress []float64
-	dvEgress  []float64
-
-	// Instrumentation. reg is cfg.Obs's registry when tracing is on and a
-	// private registry otherwise, so the decision counters below are
-	// always live — Result.Decisions/SchedNanos are copied out of them at
-	// finish, keeping reported values identical with and without obs.
-	reg         *obs.Registry
-	cDecisions  *obs.Counter   // fabric.decisions
-	cSchedNanos *obs.Counter   // fabric.sched_nanos (wall clock)
-	hDecisionNs *obs.Histogram // fabric.decision_ns (wall clock)
+	// reg is cfg.Obs's registry when tracing is on and a private registry
+	// otherwise, so the kernel's decision counters are always live —
+	// Result.Decisions/SchedNanos are copied out of them at finish,
+	// keeping reported values identical with and without obs.
+	reg *obs.Registry
 }
 
 // New validates the configuration and prepares a run.
@@ -457,57 +429,51 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.StreamWindow > 0 && cfg.StreamKeep == 0 {
 		cfg.StreamKeep = defaultStreamKeep
 	}
-	newFCT := metrics.NewFCT
+	fct := metrics.NewFCT()
 	if cfg.StreamWindow > 0 {
-		newFCT = func() *metrics.FCT { return metrics.NewBoundedFCT(cfg.StreamKeep) }
+		fct = metrics.NewBoundedFCT(cfg.StreamKeep)
 	}
 	s := &Sim{
 		cfg:            cfg,
-		table:          flow.NewTable(cfg.Hosts),
 		nextID:         1,
-		byteRate:       cfg.LinkBps / 8,
-		nextCompletion: math.Inf(1),
-		scheduler:      cfg.Scheduler,
+		res:            &Result{Duration: cfg.Duration},
 		nextCheckpoint: cfg.CheckpointEvery,
 		nextWindow:     cfg.StreamWindow,
-		res: &Result{
-			FCT:           newFCT(),
-			Throughput:    metrics.NewThroughput(cfg.ThroughputBucket),
-			Duration:      cfg.Duration,
-			SchedulerName: cfg.Scheduler.Name(),
-		},
+		reg:            cfg.Obs.Registry(),
 	}
-	if cfg.Faults != nil {
-		// Degraded mode for scheduler outages: hold the last matching. The
-		// result carries the wrapped name ("...+hold") so fault runs are
-		// recognizable in reports.
-		s.fallback = sched.NewOutageFallback(cfg.Scheduler)
-		s.scheduler = s.fallback
-		s.res.SchedulerName = s.fallback.Name()
-	}
-	// Dirty-feed ownership (see the flow package's change-tracking
-	// contract): an index-maintaining scheduler consumes the feed itself;
-	// for everything else the sim is the consumer of record.
-	s.clearsDirty = !sched.IsDirtyConsumer(s.scheduler)
-	s.poolOn = !cfg.DisableFlowPool && cfg.Faults == nil
-	s.reg = cfg.Obs.Registry()
 	if s.reg == nil {
 		s.reg = obs.NewRegistry()
 	}
-	s.cDecisions = s.reg.Counter("fabric.decisions")
-	s.cSchedNanos = s.reg.Counter("fabric.sched_nanos")
-	s.hDecisionNs = s.reg.Histogram("fabric.decision_ns")
+	s.kernel = kernel{
+		own:      s,
+		ports:    cfg.Hosts,
+		byteRate: cfg.LinkBps / 8,
+		dur:      cfg.Duration,
+		interval: cfg.SampleInterval,
+		seed:     cfg.Seed,
+		cell:     -1,
+
+		scheduler: cfg.Scheduler,
+		faults:    cfg.Faults,
+		obs:       cfg.Obs,
+		poolOn:    !cfg.DisableFlowPool && cfg.Faults == nil, // see DisableFlowPool
+		validate:  cfg.ValidateDecisions,
+		deepEvery: cfg.DeepValidateEvery,
+
+		fct:         fct,
+		thr:         metrics.NewThroughput(cfg.ThroughputBucket),
+		cDecisions:  s.reg.Counter("fabric.decisions"),
+		cSchedNanos: s.reg.Counter("fabric.sched_nanos"),
+		hDecisionNs: s.reg.Histogram("fabric.decision_ns"),
+	}
+	s.init()
+	// A fault run reports the wrapped name ("...+hold"), so it is
+	// recognizable in reports.
+	s.res.SchedulerName = s.scheduler.Name()
 	if cfg.Faults != nil {
 		cfg.Faults.SetRegistry(s.reg)
 	}
 	return s, nil
-}
-
-// errorf wraps a run failure with the context a sweep needs to replay it:
-// the seed, the simulated time reached, and the decision count.
-func (s *Sim) errorf(format string, args ...any) error {
-	return fmt.Errorf("fabricsim [seed=%d t=%gs events=%d epoch=%d]: %w",
-		s.cfg.Seed, s.now, s.cDecisions.Value(), s.table.Epoch(), fmt.Errorf(format, args...))
 }
 
 // Run executes the simulation to the horizon and returns the metrics.
@@ -519,177 +485,105 @@ func (s *Sim) Run() (*Result, error) {
 	if !s.resumed {
 		s.fetchArrival()
 	}
-	wallStart := time.Now()
-	var iter int64
+	s.wallStart = time.Now()
 	for {
-		// Loop top: the one place the simulator state is fully consistent
-		// (completions collected, arrivals admitted, decision fresh), which
-		// is why deferred truncations land here and periodic checkpoints
-		// are taken here — restoring one re-enters this exact point.
-		if s.pendingTruncate != "" {
-			return s.truncate(s.pendingTruncate), nil
+		// Streaming windows cut the run at their boundaries, which the
+		// kernel treats as events; every other layer rides on atTop and
+		// tick.
+		end := s.cfg.Duration
+		if s.cfg.StreamWindow > 0 && s.nextWindow < end {
+			end = s.nextWindow
 		}
-		if s.cfg.CheckpointEvery > 0 && s.now >= s.nextCheckpoint {
-			data, err := s.Checkpoint()
-			if err != nil {
-				return nil, s.errorf("checkpoint: %v", err)
-			}
-			for s.nextCheckpoint <= s.now {
-				s.nextCheckpoint += s.cfg.CheckpointEvery
-			}
-			if err := s.cfg.CheckpointSink(data, s.now); err != nil {
-				if errors.Is(err, ErrStopAfterCheckpoint) {
-					return s.stopAtCheckpoint(data), nil
-				}
-				return nil, s.errorf("checkpoint sink: %v", err)
-			}
+		if err := s.runUntil(end); err != nil {
+			return nil, err
 		}
-		// Next event time: earliest of arrival, completion, sample, window
-		// boundary, fault boundary, end.
-		t := s.cfg.Duration
-		if s.hasPending && s.pendingArrival.Time < t {
-			t = s.pendingArrival.Time
+		for s.cfg.StreamWindow > 0 && s.now >= s.nextWindow {
+			s.flushWindow()
+			s.nextWindow += s.cfg.StreamWindow
 		}
-		if s.nextSample < t {
-			t = s.nextSample
-		}
-		if s.cfg.StreamWindow > 0 && s.nextWindow < t {
-			t = s.nextWindow
-		}
-		if ct, ok := s.nextCompletionTime(); ok && ct < t {
-			t = ct
-		}
-		faultBoundary := false
-		if s.cfg.Faults != nil {
-			if fb, ok := s.cfg.Faults.NextBoundaryAfter(s.now); ok && fb <= t {
-				t = fb
-				faultBoundary = true
-			}
-		}
-
-		s.advanceTo(t)
-
-		done := t >= s.cfg.Duration
-		reschedule := false
-
-		if faultBoundary {
-			// The fault state changed (a link went down, recovered, or the
-			// scheduler's reachability flipped): account the boundary and
-			// force a fresh decision under the new conditions.
-			ls, le, os, oe := s.cfg.Faults.TransitionsAt(s.now)
-			s.res.Faults.LinkFaultStarts += int64(ls)
-			s.res.Faults.LinkFaultEnds += int64(le)
-			s.res.Faults.OutageStarts += int64(os)
-			s.res.Faults.OutageEnds += int64(oe)
-			if ls > 0 {
-				s.cfg.Obs.Emit(s.now, "fault.link.start", -1, float64(ls), "")
-			}
-			if le > 0 {
-				s.cfg.Obs.Emit(s.now, "fault.link.end", -1, float64(le), "")
-			}
-			if os > 0 {
-				s.cfg.Obs.Emit(s.now, "fault.outage.start", -1, float64(os), "")
-			}
-			if oe > 0 {
-				s.cfg.Obs.Emit(s.now, "fault.outage.end", -1, float64(oe), "")
-			}
-			reschedule = true
-		}
-
-		// Completions strictly before arrivals at the same instant: the
-		// departing flow frees its ports for the newcomer's decision.
-		if s.collectCompletions() {
-			reschedule = true
-		}
-		for s.hasPending && s.pendingArrival.Time <= s.now+1e-12 && !done {
-			if s.pendingArrival.Time < s.now-1e-9 {
-				// The event loop always advances to the earliest pending
-				// arrival, so an arrival in the past means the generator
-				// violated its time-ordering contract.
-				return nil, s.errorf("generator produced out-of-order arrival at t=%g",
-					s.pendingArrival.Time)
-			}
-			if err := s.admit(s.pendingArrival); err != nil {
-				return nil, err
-			}
-			s.fetchArrival()
-			reschedule = true
-		}
-		if s.now >= s.nextSample {
-			s.sample()
-			s.nextSample += s.cfg.SampleInterval
-			if wd := s.cfg.Watchdog; wd != nil && wd.MaxBacklogBytes > 0 {
-				if backlog := s.table.TotalBacklog(); backlog > wd.MaxBacklogBytes {
-					// Deferred to the next loop top (after this iteration's
-					// reschedule) so the truncation Diagnosis can carry a
-					// consistent, resumable checkpoint.
-					s.pendingTruncate = "backlog-bound"
-				}
-			}
-		}
-		if s.cfg.StreamWindow > 0 {
-			for s.now >= s.nextWindow {
-				s.flushWindow()
-				s.nextWindow += s.cfg.StreamWindow
-			}
-		}
-		if done {
-			if s.pendingTruncate != "" {
-				return s.truncate(s.pendingTruncate), nil
-			}
+		if s.haltData != nil || s.pendingTruncate != "" || s.now >= s.cfg.Duration {
 			break
 		}
-		if wd := s.cfg.Watchdog; wd != nil && wd.MaxWallClock > 0 && s.pendingTruncate == "" {
-			if iter++; iter%wallClockCheckEvery == 0 && time.Since(wallStart) > wd.MaxWallClock {
-				s.pendingTruncate = "wallclock-budget"
-			}
-		}
-		if reschedule {
-			if err := s.reschedule(); err != nil {
-				return nil, err
-			}
-		}
+	}
+	switch {
+	case s.haltData != nil:
+		// Unlike truncate, a checkpoint halt emits NO trace event: the
+		// halt is invisible to the event stream, which is what makes a
+		// halted trace plus its continuation byte-identical to the
+		// uninterrupted trace.
+		return s.halt("checkpoint-stop", s.haltData), nil
+	case s.pendingTruncate != "":
+		return s.truncate(s.pendingTruncate), nil
 	}
 	return s.finish(), nil
+}
+
+// atTop is where deferred truncations land and periodic checkpoints are
+// taken: restoring a checkpoint re-enters the loop at exactly this point.
+func (s *Sim) atTop() (bool, error) {
+	if wd := s.cfg.Watchdog; wd != nil && wd.MaxWallClock > 0 && s.pendingTruncate == "" {
+		if s.iter++; s.iter%wallClockCheckEvery == 0 && time.Since(s.wallStart) > wd.MaxWallClock {
+			s.pendingTruncate = "wallclock-budget"
+		}
+	}
+	if s.pendingTruncate != "" {
+		return true, nil
+	}
+	if s.cfg.CheckpointEvery > 0 && s.now >= s.nextCheckpoint {
+		data, err := s.Checkpoint()
+		if err != nil {
+			return false, s.errorf("checkpoint: %v", err)
+		}
+		for s.nextCheckpoint <= s.now {
+			s.nextCheckpoint += s.cfg.CheckpointEvery
+		}
+		if err := s.cfg.CheckpointSink(data, s.now); err != nil {
+			if errors.Is(err, ErrStopAfterCheckpoint) {
+				s.haltData = data
+				return true, nil
+			}
+			return false, s.errorf("checkpoint sink: %v", err)
+		}
+	}
+	return false, nil
 }
 
 // finish seals the result at the current simulated time: copy the
 // counter-backed totals into the Result (identical to the pre-registry
 // reporting), fold the slow-path stats into the registry, and snapshot it.
 func (s *Sim) finish() *Result {
-	s.res.LeftoverBytes = s.table.TotalBacklog()
-	s.res.LeftoverFlows = s.table.NumFlows()
-	s.res.Decisions = s.cDecisions.Value()
-	s.res.SchedNanos = s.cSchedNanos.Value()
-	if s.fallback != nil {
-		s.res.Faults.DecisionsHeld = s.fallback.HeldDecisions()
-		s.reg.Counter("sched.decisions_held").Add(s.fallback.HeldDecisions())
-		s.reg.Counter("sched.outage_activations").Add(s.fallback.Activations())
-	}
-	// Once-per-run stats pulled from the subsystems that kept them.
-	s.reg.Counter("fabric.arrived_flows").Add(int64(s.res.ArrivedFlows))
-	s.reg.Counter("fabric.completed_flows").Add(int64(s.res.CompletedFlows))
-	if ist := sched.IndexStatsOf(s.scheduler); ist.Repairs+ist.Rebuilds > 0 {
-		s.reg.Counter("sched.index_repairs").Add(ist.Repairs)
-		s.reg.Counter("sched.index_rebuilds").Add(ist.Rebuilds)
-	}
+	s.res.FCT, s.res.Throughput = s.fct, s.thr
+	seal(s.res, s.reg, &s.kernel)
 	if d, ok := s.cfg.Scheduler.(interface{ TotalRounds() int64 }); ok {
 		s.reg.Counter("sched.arbitration_rounds").Add(d.TotalRounds())
 	}
 	if g, ok := s.cfg.Generator.(interface{ QueueHighWater() int }); ok {
 		s.reg.Gauge("eventq.high_water").Set(float64(g.QueueHighWater()))
 	}
-	if s.poolOn {
-		s.reg.Counter("flow.pool_reuses").Add(s.pool.Reuses())
-		s.reg.Gauge("flow.pool_size").Set(float64(s.pool.Len()))
-	}
 	s.res.Obs = s.reg.Snapshot()
 	return s.res
 }
 
-// truncate seals a watchdog-stopped run: the partial Result keeps every
-// metric accumulated so far (byte conservation included) plus a Diagnosis
-// saying why and where the run stopped.
+// halt seals a run stopped before its horizon: the partial Result keeps
+// every metric accumulated so far (byte conservation included) plus a
+// Diagnosis saying why and where the run stopped, carrying the
+// resumable checkpoint when one was captured.
+func (s *Sim) halt(reason string, ckpt []byte) *Result {
+	res := s.finish()
+	res.Duration = s.now
+	res.Diagnosis = &Diagnosis{
+		Reason:       reason,
+		SimTime:      s.now,
+		BacklogBytes: res.LeftoverBytes,
+		Events:       res.Decisions,
+		Seed:         s.cfg.Seed,
+		TableEpoch:   s.table.Epoch(),
+		Checkpoint:   ckpt,
+	}
+	return res
+}
+
+// truncate seals a watchdog-stopped run.
 func (s *Sim) truncate(reason string) *Result {
 	// Capture the resumable snapshot BEFORE emitting the truncation event:
 	// the uninterrupted run has no such event at this point, so a resumed
@@ -706,18 +600,8 @@ func (s *Sim) truncate(reason string) *Result {
 	// Record the stop itself before capturing the recorder tail, so the
 	// captured sequence ends with the truncation event.
 	s.cfg.Obs.Emit(s.now, "watchdog.truncate", -1, s.table.TotalBacklog(), reason)
-	res := s.finish()
-	res.Duration = s.now
-	res.Diagnosis = &Diagnosis{
-		Reason:        reason,
-		SimTime:       s.now,
-		BacklogBytes:  res.LeftoverBytes,
-		Events:        res.Decisions,
-		Seed:          s.cfg.Seed,
-		TableEpoch:    s.table.Epoch(),
-		Checkpoint:    ckpt,
-		CheckpointErr: ckptErr,
-	}
+	res := s.halt(reason, ckpt)
+	res.Diagnosis.CheckpointErr = ckptErr
 	if wd := s.cfg.Watchdog; wd != nil && wd.DiagnosisEvents >= 0 {
 		k := wd.DiagnosisEvents
 		if k == 0 {
@@ -735,270 +619,50 @@ func (s *Sim) fetchArrival() {
 	s.pendingArrival, s.hasPending = a, ok
 }
 
-// admit adds an arrived flow to the fabric. A malformed arrival means the
-// generator violated its contract; the run fails with context rather than
-// panicking mid-sweep.
-func (s *Sim) admit(a workload.Arrival) error {
-	if a.Src < 0 || a.Src >= s.cfg.Hosts || a.Dst < 0 || a.Dst >= s.cfg.Hosts || a.Src == a.Dst || a.Size <= 0 {
-		return s.errorf("generator produced invalid arrival %+v", a)
+// nextArrival returns the pending arrival's time (+Inf: stream exhausted).
+func (s *Sim) nextArrival() float64 {
+	if s.hasPending {
+		return s.pendingArrival.Time
 	}
-	var f *flow.Flow
-	if s.poolOn {
-		f = s.pool.Get(s.nextID, a.Src, a.Dst, a.Class, a.Size, a.Time)
-	} else {
-		f = flow.NewFlow(s.nextID, a.Src, a.Dst, a.Class, a.Size, a.Time)
-	}
-	s.nextID++
-	s.table.Add(f)
-	s.res.ArrivedFlows++
-	s.res.ArrivedBytes += a.Size
-	return nil
+	return math.Inf(1)
 }
 
-// flowRate returns f's current transmission rate in bytes/s: the access-
-// link rate scaled by the worse of its two ports' surviving link
-// fractions. Rates only change at fault boundaries, which are events, so
-// a rate sampled at s.now is valid until the next event.
-func (s *Sim) flowRate(f *flow.Flow) float64 {
-	if s.cfg.Faults == nil {
-		return s.byteRate
+// admitDue adds every arrival due now to the fabric. An arrival in the
+// past or a malformed one means the generator violated its contract; the
+// run fails with context rather than panicking mid-sweep.
+func (s *Sim) admitDue() (bool, error) {
+	admitted := false
+	for s.hasPending && s.pendingArrival.Time <= s.now+timeEps {
+		a := s.pendingArrival
+		if a.Time < s.now-1e-9 {
+			// The loop always advances to the earliest pending arrival, so
+			// an earlier one is out of order.
+			return false, s.errorf("generator produced out-of-order arrival at t=%g", a.Time)
+		}
+		if a.Src < 0 || a.Src >= s.cfg.Hosts || a.Dst < 0 || a.Dst >= s.cfg.Hosts || a.Src == a.Dst || a.Size <= 0 {
+			return false, s.errorf("generator produced invalid arrival %+v", a)
+		}
+		s.addFlow(s.nextID, a.Src, a.Dst, a.Class, a.Size, a.Time)
+		s.nextID++
+		s.fetchArrival()
+		admitted = true
 	}
-	frac := s.cfg.Faults.LinkRateFraction(f.Src, s.now)
-	if d := s.cfg.Faults.LinkRateFraction(f.Dst, s.now); d < frac {
-		frac = d
-	}
-	return s.byteRate * frac
+	return admitted, nil
 }
 
-// nextCompletionTime returns when the earliest currently transmitting flow
-// finishes, assuming the decision and fault state stay fixed. Flows on a
-// fully failed link never complete on their own; a fault boundary or a
-// new decision unblocks them. The value is the cache advanceTo and
-// reschedule maintain — the decision is never rescanned here.
-func (s *Sim) nextCompletionTime() (float64, bool) {
-	if math.IsInf(s.nextCompletion, 1) {
-		return 0, false
-	}
-	return s.nextCompletion, true
+// flowDone emits the completion trace event.
+func (s *Sim) flowDone(f *flow.Flow, fct float64) {
+	s.cfg.Obs.Emit(s.now, "flow.done", f.Src, fct, f.Class.String())
 }
 
-// advanceTo drains the transmitting flows up to time t, each at its
-// current (possibly degraded) link rate, and refreshes the next-completion
-// cache from the post-drain residuals in the same pass. Rates only change
-// at fault boundaries, and every boundary forces a reschedule (which
-// recomputes the cache), so the rates read here stay valid until the cache
-// is next consulted.
-func (s *Sim) advanceTo(t float64) {
-	if t < s.now {
-		t = s.now
-	}
-	dt := t - s.now
-	if dt > 0 && len(s.decision) > 0 {
-		var drained float64
-		minTime := math.Inf(1)
-		for _, f := range s.decision {
-			if rate := s.flowRate(f); rate > 0 {
-				drained += s.table.Drain(f, dt*rate)
-				if left := f.Remaining / rate; left < minTime {
-					minTime = left
-				}
-			}
-		}
-		if drained > 0 {
-			s.res.Throughput.AddRange(s.now, t, drained)
-			s.res.DepartedBytes += drained
-		}
-		s.nextCompletion = t + minTime
-	}
-	s.now = t
-}
-
-// completionThreshold returns the residual below which a flow counts as
-// finished. The absolute floor handles normal completions; the adaptive
-// term covers sub-byte residues whose drain time rounds to zero at large
-// timestamps (float64 has ~1e-16 relative resolution, so any remainder
-// that would take less than ~100 ULPs of `now` to drain is already
-// indistinguishable from done and would otherwise stall the event loop).
-func (s *Sim) completionThreshold() float64 {
-	adaptive := s.byteRate * s.now * 1e-14
-	if adaptive > completionEps {
-		return adaptive
-	}
-	return completionEps
-}
-
-// collectCompletions removes flows that finished by now and records FCTs.
-func (s *Sim) collectCompletions() bool {
-	if len(s.decision) == 0 {
-		return false
-	}
-	threshold := s.completionThreshold()
-	kept := s.decision[:0]
-	completed := false
-	for _, f := range s.decision {
-		if f.Remaining <= threshold {
-			// Flush the sub-threshold residue so byte conservation
-			// (arrived = departed + backlog) holds exactly.
-			if residue := s.table.Drain(f, f.Remaining); residue > 0 {
-				s.res.Throughput.AddBytes(s.now, residue)
-				s.res.DepartedBytes += residue
-			}
-			s.table.Remove(f)
-			s.res.CompletedFlows++
-			s.res.FCT.Add(f.Class, s.now-f.Arrival)
-			s.fctSum += s.now - f.Arrival
-			s.cfg.Obs.Emit(s.now, "flow.done", f.Src, s.now-f.Arrival, f.Class.String())
-			if s.poolOn {
-				// The flow is detached and dropped from the compacted
-				// decision; the scheduler's candidate index may still hold
-				// its pointer but never dereferences entries of a dirtied
-				// VOQ (Remove just dirtied this one), so recycling is safe.
-				s.pool.Put(f)
-			}
-			completed = true
-		} else {
-			kept = append(kept, f)
-		}
-	}
-	s.decision = kept
-	return completed
-}
-
-// reschedule recomputes the scheduling decision. During an injected
-// scheduler outage the fallback wrapper serves the held matching instead
-// of consulting the unreachable scheduler (the dirty-VOQ feed then simply
-// accumulates until the scheduler's index is reachable again).
-func (s *Sim) reschedule() error {
-	if s.fallback != nil {
-		s.fallback.SetOutage(s.cfg.Faults.SchedulerDown(s.now))
-	}
-	span := obs.StartSpan(s.hDecisionNs)
-	s.decision = s.scheduler.Schedule(s.table)
-	s.cSchedNanos.Add(span.End())
-	s.cDecisions.Inc()
-	if s.clearsDirty {
-		s.table.ClearDirty()
-	}
-	// Fresh decision, fresh completion horizon, at the rates in force now.
-	minTime := math.Inf(1)
-	for _, f := range s.decision {
-		if rate := s.flowRate(f); rate > 0 {
-			if left := f.Remaining / rate; left < minTime {
-				minTime = left
-			}
-		}
-	}
-	s.nextCompletion = s.now + minTime
-	if s.cfg.ValidateDecisions {
-		if err := s.validator.ValidateDecision(s.cfg.Hosts, s.decision); err != nil {
-			return s.errorf("%w", err)
-		}
-	}
-	if k := s.cfg.DeepValidateEvery; k > 0 && s.cDecisions.Value()%k == 0 {
-		if err := s.deepValidate(); err != nil {
-			return s.errorf("%w", err)
-		}
-	}
-	return nil
-}
-
-// deepValidate recomputes every backlog aggregate from the live flows,
-// compares against the table's incremental accounting, and cross-checks
-// the scheduler's incremental candidate index (when it maintains one)
-// against a from-scratch view of the table.
-func (s *Sim) deepValidate() error {
-	n := s.cfg.Hosts
-	if cap(s.dvIngress) < n {
-		s.dvIngress = make([]float64, n)
-		s.dvEgress = make([]float64, n)
-	}
-	ingress := s.dvIngress[:n]
-	egress := s.dvEgress[:n]
-	for i := range ingress {
-		ingress[i] = 0
-		egress[i] = 0
-	}
-	var total float64
-	flows := 0
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			q := s.table.VOQ(i, j)
-			var qSum float64
-			var err error
-			top := q.Top()
-			q.ForEachFlow(func(f *flow.Flow) {
-				if err != nil {
-					return
-				}
-				switch {
-				case !f.Attached():
-					err = fmt.Errorf("deep validate: VOQ (%d,%d) holds detached flow %d (remaining %g)",
-						i, j, f.ID, f.Remaining)
-				case f.Src != i || f.Dst != j:
-					err = fmt.Errorf("deep validate: VOQ (%d,%d) holds misfiled flow %d addressed %d->%d",
-						i, j, f.ID, f.Src, f.Dst)
-				case f.Remaining < 0:
-					err = fmt.Errorf("deep validate: VOQ (%d,%d) flow %d has negative remaining %g",
-						i, j, f.ID, f.Remaining)
-				case f.Remaining < top.Remaining:
-					err = fmt.Errorf("deep validate: VOQ (%d,%d) top is flow %d (remaining %g) but flow %d has %g",
-						i, j, top.ID, top.Remaining, f.ID, f.Remaining)
-				default:
-					qSum += f.Remaining
-					flows++
-				}
-			})
-			if err != nil {
-				return err
-			}
-			if !closeEnough(qSum, q.Backlog()) {
-				return fmt.Errorf("deep validate: VOQ (%d,%d) backlog %g, recomputed %g", i, j, q.Backlog(), qSum)
-			}
-			ingress[i] += qSum
-			egress[j] += qSum
-			total += qSum
-		}
-	}
-	for p := 0; p < n; p++ {
-		if !closeEnough(ingress[p], s.table.IngressBacklog(p)) {
-			return fmt.Errorf("deep validate: ingress %d backlog %g, recomputed %g", p, s.table.IngressBacklog(p), ingress[p])
-		}
-		if !closeEnough(egress[p], s.table.EgressBacklog(p)) {
-			return fmt.Errorf("deep validate: egress %d backlog %g, recomputed %g", p, s.table.EgressBacklog(p), egress[p])
-		}
-	}
-	if !closeEnough(total, s.table.TotalBacklog()) {
-		return fmt.Errorf("deep validate: total backlog %g, recomputed %g", s.table.TotalBacklog(), total)
-	}
-	if flows != s.table.NumFlows() {
-		return fmt.Errorf("deep validate: %d flows counted, table reports %d", flows, s.table.NumFlows())
-	}
-	if !closeEnough(s.res.ArrivedBytes, s.res.DepartedBytes+total) {
-		return fmt.Errorf("deep validate: conservation broken (arrived %g, departed %g, backlog %g)",
-			s.res.ArrivedBytes, s.res.DepartedBytes, total)
-	}
-	if err := sched.CheckIndex(s.scheduler, s.table); err != nil {
-		return fmt.Errorf("deep validate: %w", err)
-	}
-	return nil
-}
-
-// closeEnough compares accumulated float quantities with a relative
-// tolerance sized for long runs of incremental adds/subtracts.
-func closeEnough(a, b float64) bool {
-	diff := math.Abs(a - b)
-	scale := math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-	return diff <= 1e-6*scale
-}
-
-// sample records the queue-length series and the matching trace events.
-// When the run is instrumented it also snapshots the Go runtime's GC
-// state into gauges, so a trace can correlate backlog spikes with
-// collection activity. The GC numbers are machine-dependent, which is why
-// they live only in registry gauges (never in trace events, whose byte-
-// determinism the trace contract guarantees) and only when the caller
-// opted into observability.
-func (s *Sim) sample() {
+// tick records the queue-length series and the matching trace events,
+// then checks the backlog watchdog. When the run is instrumented it also
+// snapshots the Go runtime's GC state into gauges, so a trace can
+// correlate backlog spikes with collection activity. The GC numbers are
+// machine-dependent, which is why they live only in registry gauges
+// (never in trace events, whose byte-determinism the trace contract
+// guarantees) and only when the caller opted into observability.
+func (s *Sim) tick() {
 	queue := s.table.IngressBacklog(s.cfg.MonitorPort)
 	total := s.table.TotalBacklog()
 	maxPort, maxB := s.table.MaxIngressBacklog()
@@ -1029,9 +693,15 @@ func (s *Sim) sample() {
 			Duration:       s.cfg.Duration,
 			Windows:        windows,
 			Decisions:      s.cDecisions.Value(),
-			ArrivedFlows:   s.res.ArrivedFlows,
-			CompletedFlows: s.res.CompletedFlows,
+			ArrivedFlows:   s.arrivedFlows,
+			CompletedFlows: s.completedFlows,
 			BacklogBytes:   total,
 		})
+	}
+	if wd := s.cfg.Watchdog; wd != nil && wd.MaxBacklogBytes > 0 && total > wd.MaxBacklogBytes {
+		// Deferred to the next loop top (after this event's reschedule)
+		// so the truncation Diagnosis can carry a consistent, resumable
+		// checkpoint.
+		s.pendingTruncate = "backlog-bound"
 	}
 }

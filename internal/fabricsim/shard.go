@@ -44,11 +44,6 @@ const DefaultBarrierEvery = 8
 // goroutine runs a cell but never what the cell computes.
 const DefaultRepackEvery = 16
 
-// timeEps is the simulated-clock slack used when matching event times:
-// arrivals within timeEps of `now` are admitted at `now` (identical to
-// the centralized engine's admission slack).
-const timeEps = 1e-12
-
 // ShardConfig parameterizes a sharded fabric run. It is the topology-
 // aware sibling of Config: instead of receiving pre-built scheduler and
 // generator instances, it receives the recipe (registry name, options,
@@ -58,11 +53,11 @@ const timeEps = 1e-12
 // Determinism comes in two families, both byte-stable across machines
 // and GOMAXPROCS settings:
 //
-//   - Shards == 1 runs the centralized engine — one global event loop,
-//     one fabric-wide workload stream — and is byte-identical to
-//     building the same Sim by hand (the pre-refactor behavior).
+//   - Shards == 1 runs the centralized engine — one event-loop kernel
+//     over every host, one fabric-wide workload stream — and is
+//     byte-identical to building the same Sim by hand.
 //   - Shards >= 2 runs the decomposed conservative-PDES engine: one
-//     cell per rack, cross-rack arrivals delivered after the topology's
+//     kernel per rack, cross-rack arrivals delivered after the topology's
 //     CoreHopLatency lookahead. Results are byte-identical across ALL
 //     shard counts >= 2, ALL BarrierEvery batch sizes, ALL Workers
 //     counts, and ALL RepackEvery schedules — those knobs only choose
@@ -276,30 +271,52 @@ const cellIDShift = 40
 // RunShard executes one sharded fabric run. See ShardConfig for the
 // engine families and their determinism contract.
 func RunShard(cfg ShardConfig) (*Result, error) {
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Shards == 1 {
+		return runCentralized(cfg)
+	}
+	if cfg.CheckpointEvery > 0 || cfg.CheckpointSink != nil {
+		return nil, fmt.Errorf("%w: checkpointing requires Shards == 1", ErrShardUnsupported)
+	}
+	cells, err := newShardCells(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return runDecomposed(cfg, cells)
+}
+
+// withDefaults validates the configuration and fills the defaulted
+// fields both engine families read.
+func (cfg ShardConfig) withDefaults() (ShardConfig, error) {
 	if cfg.Topology == nil {
-		return nil, fmt.Errorf("%w: nil topology", ErrShardConfig)
+		return cfg, fmt.Errorf("%w: nil topology", ErrShardConfig)
 	}
 	if cfg.Shards < 1 {
-		return nil, fmt.Errorf("%w: shards %d < 1", ErrShardConfig, cfg.Shards)
+		return cfg, fmt.Errorf("%w: shards %d < 1", ErrShardConfig, cfg.Shards)
 	}
 	if cfg.Duration <= 0 {
-		return nil, fmt.Errorf("%w: duration %g <= 0", ErrShardConfig, cfg.Duration)
+		return cfg, fmt.Errorf("%w: duration %g <= 0", ErrShardConfig, cfg.Duration)
 	}
 	if cfg.Load <= 0 || cfg.Load >= 1 {
-		return nil, fmt.Errorf("%w: load %g outside (0, 1)", ErrShardConfig, cfg.Load)
+		return cfg, fmt.Errorf("%w: load %g outside (0, 1)", ErrShardConfig, cfg.Load)
 	}
 	if cfg.Seed == 0 {
-		return nil, fmt.Errorf("%w: seed must be nonzero", ErrShardConfig)
+		return cfg, fmt.Errorf("%w: seed must be nonzero", ErrShardConfig)
 	}
 	if cfg.BarrierEvery < 0 {
-		return nil, fmt.Errorf("%w: barrier-every %d < 0", ErrShardConfig, cfg.BarrierEvery)
+		return cfg, fmt.Errorf("%w: barrier-every %d < 0", ErrShardConfig, cfg.BarrierEvery)
 	}
 	if cfg.Workers < 0 {
-		return nil, fmt.Errorf("%w: workers %d < 0", ErrShardConfig, cfg.Workers)
+		return cfg, fmt.Errorf("%w: workers %d < 0", ErrShardConfig, cfg.Workers)
 	}
-	hosts := cfg.Topology.NumHosts()
-	if cfg.MonitorPort < 0 || cfg.MonitorPort >= hosts {
-		return nil, fmt.Errorf("%w: monitor port %d outside [0, %d)", ErrShardConfig, cfg.MonitorPort, hosts)
+	if hosts := cfg.Topology.NumHosts(); cfg.MonitorPort < 0 || cfg.MonitorPort >= hosts {
+		return cfg, fmt.Errorf("%w: monitor port %d outside [0, %d)", ErrShardConfig, cfg.MonitorPort, hosts)
+	}
+	if cfg.SchedOpts.Seed == 0 {
+		cfg.SchedOpts.Seed = cfg.Seed
 	}
 	if cfg.QueryByteFraction == 0 {
 		cfg.QueryByteFraction = workload.DefaultQueryByteFraction
@@ -310,36 +327,16 @@ func RunShard(cfg ShardConfig) (*Result, error) {
 	if cfg.ThroughputBucket <= 0 {
 		cfg.ThroughputBucket = cfg.Duration / 50
 	}
-	if cfg.Shards == 1 {
-		return runCentralized(cfg)
-	}
-	if cfg.CheckpointEvery > 0 || cfg.CheckpointSink != nil {
-		return nil, fmt.Errorf("%w: checkpointing requires Shards == 1", ErrShardUnsupported)
-	}
-	return runDecomposed(cfg)
+	return cfg, nil
 }
 
 // runCentralized is the Shards == 1 family: the same construction a
 // direct fabricsim.New caller performs, so results (digest and trace
-// alike) are byte-identical to the pre-refactor engine.
+// alike) are byte-identical to that caller's.
 func runCentralized(cfg ShardConfig) (*Result, error) {
-	opts := cfg.SchedOpts
-	if opts.Seed == 0 {
-		opts.Seed = cfg.Seed
-	}
-	scheduler, err := sched.New(cfg.Scheduler, opts)
+	scheduler, gen, err := cfg.newParts(cfg.SchedOpts.Seed, cfg.Seed, 0, 0)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrShardConfig, err)
-	}
-	gen, err := workload.NewMixed(workload.MixedConfig{
-		Topology:          cfg.Topology,
-		Load:              cfg.Load,
-		QueryByteFraction: cfg.QueryByteFraction,
-		Duration:          cfg.Duration,
-		Seed:              cfg.Seed,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrShardConfig, err)
+		return nil, err
 	}
 	sim, err := New(Config{
 		Hosts:             cfg.Topology.NumHosts(),
@@ -413,29 +410,19 @@ type localArrival struct {
 	id flow.ID
 }
 
-// shardCell is one rack's private simulator: its own VOQ table (rack
-// hosts plus one core-proxy ingress port per core switch), scheduler
-// instance, workload stream, metrics, and flow pool. Cells only ever
-// touch their own state inside a batch; all cross-cell traffic moves
-// through the outbox/inbox exchange at barriers on the main goroutine.
+// shardCell is one rack's private simulator: its own kernel (VOQ table
+// over the rack's hosts plus one core-proxy ingress port per core
+// switch, scheduler instance, metrics, and flow pool) fed by its own
+// workload stream. Cells only ever touch their own state inside a batch;
+// all cross-cell traffic moves through the outbox/inbox exchange at
+// barriers on the main goroutine.
 type shardCell struct {
-	rack    int
+	kernel
 	base    int // global id of the rack's first host
 	hpr     int // local host ports [0, hpr)
 	uplinks int // core-proxy ingress ports [hpr, hpr+uplinks)
-	ports   int
-
-	byteRate float64
-	dur      float64
-	look     float64
-	interval float64
-	monitor  int // local monitor port, -1 unless this cell owns it
-
-	table       *flow.Table
-	scheduler   sched.Scheduler
-	clearsDirty bool
-	validator   sched.Validator
-	validate    bool
+	look    float64
+	monitor int // local monitor port, -1 unless this cell owns it
 
 	// Workload prefetch state: the cell pulls its stream eagerly up to
 	// each batch's horizon (see prefetch), queueing intra-rack arrivals
@@ -452,23 +439,7 @@ type shardCell struct {
 	inboxPos int
 	outbox   eventq.Queue
 
-	decision       []*flow.Flow
-	nextCompletion float64
-	now            float64
-	nextSample     float64
-
-	fct  *metrics.FCT
-	thr  *metrics.Throughput
-	pool flow.FreeList
-
 	nextSeq uint64 // per-rack flow counter; see cellIDShift
-
-	arrivedFlows   int
-	completedFlows int
-	arrivedBytes   float64
-	departedBytes  float64
-	decisions      int64
-	schedNanos     int64
 
 	traced    bool
 	remoteSrc map[flow.ID]int // proxy-admitted flow -> global source
@@ -483,9 +454,8 @@ type shardCell struct {
 
 	// reg is the cell's private deterministic-plane registry; its
 	// snapshot survives into Result.ShardObs. The resolved instruments
-	// below keep the hot paths at one pointer-indirected add.
+	// keep the hot paths at one pointer-indirected add.
 	reg            *obs.Registry
-	cDecisions     *obs.Counter
 	cMsgsSent      *obs.Counter
 	cMsgsDelivered *obs.Counter
 	cWindows       *obs.Counter
@@ -503,16 +473,10 @@ type shardCell struct {
 	err error
 }
 
-// errorf wraps a cell failure with replay context.
-func (c *shardCell) errorf(format string, args ...any) error {
-	return fmt.Errorf("fabricsim shard [cell=%d t=%gs decisions=%d]: %w",
-		c.rack, c.now, c.decisions, fmt.Errorf(format, args...))
-}
-
 // allocID mints the next flow ID for traffic generated by this rack.
 func (c *shardCell) allocID() flow.ID {
 	c.nextSeq++
-	return flow.ID(uint64(c.rack+1)<<cellIDShift | c.nextSeq)
+	return flow.ID(uint64(c.cell+1)<<cellIDShift | c.nextSeq)
 }
 
 // prefetch pulls the cell's workload stream through time `to`: every
@@ -567,144 +531,101 @@ func (c *shardCell) prefetch(to float64) {
 	}
 }
 
-// addFlow admits one flow into the cell's table using local port
-// indices; globalSrc is remembered for traced proxy flows so their
-// completion events can name the true source port.
-func (c *shardCell) addFlow(id flow.ID, src, dst int, class flow.Class, size, arrival float64, globalSrc int) {
-	f := c.pool.Get(id, src, dst, class, size, arrival)
-	c.table.Add(f)
-	c.arrivedFlows++
-	c.arrivedBytes += size
-	if c.traced && src >= c.hpr {
-		c.remoteSrc[id] = globalSrc
+// atTop never stops a cell: the coordinator cuts its runs at window caps.
+func (c *shardCell) atTop() (bool, error) { return false, nil }
+
+// nextArrival returns the earlier of the local queue's and the inbox's
+// heads (+Inf: neither holds one).
+func (c *shardCell) nextArrival() float64 {
+	t := math.Inf(1)
+	if c.localPos < len(c.localQ) {
+		t = c.localQ[c.localPos].a.Time
+	}
+	if c.inboxPos < len(c.inbox) && c.inbox[c.inboxPos].deliver < t {
+		t = c.inbox[c.inboxPos].deliver
+	}
+	return t
+}
+
+// admitDue admits every local and delivered arrival due now,
+// interleaved by (time, source cell): a delivered message goes first
+// when it is earlier, or simultaneous and from a lower rack.
+func (c *shardCell) admitDue() (bool, error) {
+	admitted := false
+	for {
+		localReady := c.localPos < len(c.localQ) && c.localQ[c.localPos].a.Time <= c.now+timeEps
+		inboxReady := c.inboxPos < len(c.inbox) && c.inbox[c.inboxPos].deliver <= c.now+timeEps
+		if !localReady && !inboxReady {
+			return admitted, nil
+		}
+		if localReady && inboxReady {
+			in, localT := c.inbox[c.inboxPos], c.localQ[c.localPos].a.Time
+			localReady = !(in.deliver < localT || (in.deliver == localT && in.srcCell < c.cell))
+		}
+		var err error
+		if localReady {
+			err = c.admitLocal()
+		} else {
+			err = c.admitRemote()
+		}
+		if err != nil {
+			return false, err
+		}
+		admitted = true
 	}
 }
 
 // admitLocal admits the local queue's head arrival.
-func (c *shardCell) admitLocal() {
+func (c *shardCell) admitLocal() error {
 	la := c.localQ[c.localPos]
 	c.localPos++
 	a := la.a
 	src, dst := a.Src-c.base, a.Dst-c.base
 	if src < 0 || src >= c.hpr || dst < 0 || dst >= c.hpr || src == dst || a.Size <= 0 {
-		c.err = c.errorf("generator produced invalid local arrival %+v", a)
-		return
+		return c.errorf("generator produced invalid local arrival %+v", a)
 	}
-	c.addFlow(la.id, src, dst, a.Class, a.Size, a.Time, a.Src)
+	c.addFlow(la.id, src, dst, a.Class, a.Size, a.Time)
+	return nil
 }
 
-// admitRemote admits a delivered cross-rack arrival through the
-// core-proxy ingress port assigned to its source (globalSrc mod
-// uplinks — the static core-switch hash of the multi-rooted tree).
-func (c *shardCell) admitRemote(rm routedMsg) {
-	m := rm.msg
+// admitRemote admits the inbox's head — a delivered cross-rack arrival —
+// through the core-proxy ingress port assigned to its source (globalSrc
+// mod uplinks — the static core-switch hash of the multi-rooted tree).
+// Traced cells remember the true source for the completion event.
+func (c *shardCell) admitRemote() error {
+	m := c.inbox[c.inboxPos].msg
+	c.inboxPos++
 	dst := m.dst - c.base
 	if dst < 0 || dst >= c.hpr || m.size <= 0 {
-		c.err = c.errorf("misrouted cross-rack arrival %+v", m)
+		return c.errorf("misrouted cross-rack arrival %+v", m)
+	}
+	c.addFlow(m.id, c.hpr+m.src%c.uplinks, dst, m.class, m.size, m.genTime)
+	if c.traced {
+		c.remoteSrc[m.id] = m.src
+	}
+	c.cMsgsDelivered.Inc()
+	return nil
+}
+
+// flowDone buffers the completion trace event for barrier replay,
+// naming the true global source of proxy-admitted flows.
+func (c *shardCell) flowDone(f *flow.Flow, fct float64) {
+	if !c.traced {
 		return
 	}
-	src := c.hpr + m.src%c.uplinks
-	c.addFlow(m.id, src, dst, m.class, m.size, m.genTime, m.src)
-	c.cMsgsDelivered.Inc()
+	src := c.base + f.Src
+	if f.Src >= c.hpr {
+		src = c.remoteSrc[f.ID]
+		delete(c.remoteSrc, f.ID)
+	}
+	c.dones = append(c.dones, cellDone{t: c.now, src: src, fct: fct, class: f.Class.String()})
 }
 
-// advanceTo drains the transmitting flows to time t at the access-link
-// rate and refreshes the next-completion cache, exactly as the
-// centralized engine does for fault-free runs.
-func (c *shardCell) advanceTo(t float64) {
-	if t < c.now {
-		t = c.now
-	}
-	dt := t - c.now
-	if dt > 0 && len(c.decision) > 0 {
-		var drained float64
-		minTime := math.Inf(1)
-		for _, f := range c.decision {
-			drained += c.table.Drain(f, dt*c.byteRate)
-			if left := f.Remaining / c.byteRate; left < minTime {
-				minTime = left
-			}
-		}
-		if drained > 0 {
-			c.thr.AddRange(c.now, t, drained)
-			c.departedBytes += drained
-		}
-		c.nextCompletion = t + minTime
-	}
-	c.now = t
-}
-
-// collectCompletions removes finished flows, records FCTs, and buffers
-// trace events for barrier replay.
-func (c *shardCell) collectCompletions() bool {
-	if len(c.decision) == 0 {
-		return false
-	}
-	threshold := completionEps
-	if adaptive := c.byteRate * c.now * 1e-14; adaptive > threshold {
-		threshold = adaptive
-	}
-	kept := c.decision[:0]
-	completed := false
-	for _, f := range c.decision {
-		if f.Remaining <= threshold {
-			if residue := c.table.Drain(f, f.Remaining); residue > 0 {
-				c.thr.AddBytes(c.now, residue)
-				c.departedBytes += residue
-			}
-			c.table.Remove(f)
-			c.completedFlows++
-			fct := c.now - f.Arrival
-			c.fct.Add(f.Class, fct)
-			if c.traced {
-				src := c.base + f.Src
-				if f.Src >= c.hpr {
-					src = c.remoteSrc[f.ID]
-					delete(c.remoteSrc, f.ID)
-				}
-				c.dones = append(c.dones, cellDone{t: c.now, src: src, fct: fct, class: f.Class.String()})
-			}
-			c.pool.Put(f)
-			completed = true
-		} else {
-			kept = append(kept, f)
-		}
-	}
-	c.decision = kept
-	return completed
-}
-
-// reschedule recomputes the cell's matching. Scheduling wall time is
-// accumulated per cell (no shared histogram: cells run concurrently,
-// and the per-decision latency histogram is machine-dependent anyway).
-func (c *shardCell) reschedule() {
-	start := time.Now()
-	c.decision = c.scheduler.Schedule(c.table)
-	c.schedNanos += time.Since(start).Nanoseconds()
-	c.decisions++
-	c.cDecisions.Inc()
-	if c.clearsDirty {
-		c.table.ClearDirty()
-	}
-	minTime := math.Inf(1)
-	for _, f := range c.decision {
-		if left := f.Remaining / c.byteRate; left < minTime {
-			minTime = left
-		}
-	}
-	c.nextCompletion = c.now + minTime
-	if c.validate {
-		if err := c.validator.ValidateDecision(c.ports, c.decision); err != nil {
-			c.err = c.errorf("%w", err)
-		}
-	}
-}
-
-// sample records one queue tick into the cell's window buffer. The
+// tick records one queue sample into the cell's window buffer. The
 // per-port maximum spans HOST ports only: core-proxy backlog is an
 // artifact of the decomposition, not a host queue, though it does count
 // toward the cell total (those bytes are genuinely in the fabric).
-func (c *shardCell) sample() {
+func (c *shardCell) tick() {
 	s := cellSample{t: c.now, total: c.table.TotalBacklog()}
 	if c.monitor >= 0 {
 		s.monitor = c.table.IngressBacklog(c.monitor)
@@ -719,90 +640,19 @@ func (c *shardCell) sample() {
 	c.samples = append(c.samples, s)
 }
 
-// runWindow advances the cell to capT, the current window's end. The
-// event loop mirrors the centralized engine: completions strictly
-// before admissions at one instant, local and delivered arrivals
-// interleaved by (time, source cell), samples after admissions,
-// rescheduling only when the flow population changed. Events at
-// exactly capT are processed inside this window; window boundaries are
-// global multiples of the lookahead, so the split is identical for
-// every shard count and batch size. The inbox may hold deliveries
-// beyond capT (routing runs once per batch with the batch-end horizon);
-// they are invisible here because every consultation is gated on the
-// simulated clock.
-func (c *shardCell) runWindow(capT float64) {
-	c.cWindows.Inc()
-	for {
-		t := capT
-		if c.localPos < len(c.localQ) && c.localQ[c.localPos].a.Time < t {
-			t = c.localQ[c.localPos].a.Time
-		}
-		if c.inboxPos < len(c.inbox) && c.inbox[c.inboxPos].deliver < t {
-			t = c.inbox[c.inboxPos].deliver
-		}
-		if c.nextSample < t {
-			t = c.nextSample
-		}
-		if !math.IsInf(c.nextCompletion, 1) && c.nextCompletion < t {
-			t = c.nextCompletion
-		}
-
-		c.advanceTo(t)
-		done := t >= c.dur
-		reschedule := false
-		if c.collectCompletions() {
-			reschedule = true
-		}
-		for !done && c.err == nil {
-			localReady := c.localPos < len(c.localQ) && c.localQ[c.localPos].a.Time <= c.now+timeEps
-			inboxReady := c.inboxPos < len(c.inbox) && c.inbox[c.inboxPos].deliver <= c.now+timeEps
-			if !localReady && !inboxReady {
-				break
-			}
-			pickLocal := localReady
-			if localReady && inboxReady {
-				in := c.inbox[c.inboxPos]
-				if in.deliver < c.localQ[c.localPos].a.Time ||
-					(in.deliver == c.localQ[c.localPos].a.Time && in.srcCell < c.rack) {
-					pickLocal = false
-				}
-			}
-			if pickLocal {
-				c.admitLocal()
-			} else {
-				c.admitRemote(c.inbox[c.inboxPos])
-				c.inboxPos++
-			}
-			reschedule = true
-		}
-		if c.err != nil {
-			return
-		}
-		if c.now >= c.nextSample {
-			c.sample()
-			c.nextSample += c.interval
-		}
-		if done {
-			return
-		}
-		if reschedule {
-			c.reschedule()
-			if c.err != nil {
-				return
-			}
-		}
-		if t >= capT {
-			return
-		}
-	}
-}
-
-// runTimedWindow stamps one window's wall-clock start and duration
-// around runWindow and records the fold marks (cumulative sample/done
-// counts) that let the barrier replay this window exactly.
-func (c *shardCell) runTimedWindow(capT float64, origin time.Time) {
+// runWindow advances the cell's kernel to capT, the current window's
+// end. Events at exactly capT are processed inside this window; window
+// boundaries are global multiples of the lookahead, so the split is
+// identical for every shard count and batch size. The inbox may hold
+// deliveries beyond capT (routing runs once per batch with the
+// batch-end horizon); they are invisible here because every
+// consultation is gated on the simulated clock. The window's wall-clock
+// start and duration are stamped around the run, and the fold marks
+// (cumulative sample/done counts) let the barrier replay it exactly.
+func (c *shardCell) runWindow(capT float64, origin time.Time) {
 	start := time.Since(origin).Nanoseconds()
-	c.runWindow(capT)
+	c.cWindows.Inc()
+	c.err = c.runUntil(capT)
 	dur := time.Since(origin).Nanoseconds() - start
 	c.winStarts = append(c.winStarts, start)
 	c.winDurs = append(c.winDurs, dur)
@@ -819,7 +669,7 @@ func (c *shardCell) runBatch(capTs []float64, prefetchTo float64, origin time.Ti
 		if c.err != nil {
 			return
 		}
-		c.runTimedWindow(capT, origin)
+		c.runWindow(capT, origin)
 	}
 	if prefetchTo >= 0 && c.err == nil {
 		c.prefetch(prefetchTo)
@@ -961,25 +811,107 @@ func (p *shardPool) repack() {
 	for g, wk := range p.workers {
 		// Keep each worker's cells in rack order for cache-friendly
 		// iteration; membership, not order, carries the balance.
-		sort.Slice(assign[g], func(a, b int) bool { return assign[g][a].rack < assign[g][b].rack })
+		sort.Slice(assign[g], func(a, b int) bool { return assign[g][a].cell < assign[g][b].cell })
 		wk.cells = assign[g]
 	}
 }
 
-// runDecomposed is the Shards >= 2 family: one cell per rack advancing
-// in lockstep lookahead windows, batched BarrierEvery windows per
+// newParts builds one kernel's scheduler, seeded with schedSeed, and its
+// workload stream, seeded with genSeed and restricted to sources in
+// [srcLo, srcHi) (both zero: every host).
+func (cfg ShardConfig) newParts(schedSeed, genSeed uint64, srcLo, srcHi int) (sched.Scheduler, *workload.Mixed, error) {
+	opts := cfg.SchedOpts
+	opts.Seed = schedSeed
+	scheduler, err := sched.New(cfg.Scheduler, opts)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrShardConfig, err)
+	}
+	gen, err := workload.NewMixed(workload.MixedConfig{
+		Topology:          cfg.Topology,
+		Load:              cfg.Load,
+		QueryByteFraction: cfg.QueryByteFraction,
+		Duration:          cfg.Duration,
+		Seed:              genSeed,
+		SrcLo:             srcLo,
+		SrcHi:             srcHi,
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrShardConfig, err)
+	}
+	return scheduler, gen, nil
+}
+
+// newShardCells builds the decomposed engine's cells, one per rack: a
+// kernel over the rack's hosts plus one core-proxy ingress port per core
+// switch, with per-rack derived scheduler and workload seeds (so RNG
+// disciplines stay grouping-invariant) and the rack's source-restricted
+// workload stream.
+func newShardCells(cfg ShardConfig) ([]*shardCell, error) {
+	topo := cfg.Topology
+	tc := topo.Config()
+	hpr := tc.HostsPerRack
+	cells := make([]*shardCell, tc.Racks)
+	for r := range cells {
+		scheduler, gen, err := cfg.newParts(runner.DeriveSeed(cfg.SchedOpts.Seed, r),
+			runner.DeriveSeed(cfg.Seed, r), r*hpr, (r+1)*hpr)
+		if err != nil {
+			return nil, err
+		}
+		c := &shardCell{
+			base:    r * hpr,
+			hpr:     hpr,
+			uplinks: tc.Cores,
+			look:    topo.CoreHopLatency(),
+			monitor: -1,
+			gen:     gen,
+			traced:  cfg.Obs != nil,
+			reg:     obs.NewRegistry(),
+		}
+		c.kernel = kernel{
+			own:      c,
+			ports:    hpr + tc.Cores,
+			byteRate: topo.HostLinkBps() / 8,
+			dur:      cfg.Duration,
+			interval: cfg.SampleInterval,
+			seed:     cfg.Seed,
+			cell:     r,
+
+			scheduler: scheduler,
+			poolOn:    true,
+			validate:  cfg.ValidateDecisions,
+
+			fct:         metrics.NewFCT(),
+			thr:         metrics.NewThroughput(cfg.ThroughputBucket),
+			cDecisions:  c.reg.Counter("cell.decisions"),
+			cSchedNanos: c.reg.Counter("wall.sched_nanos"),
+		}
+		c.init()
+		if cfg.MonitorPort/hpr == r {
+			c.monitor = cfg.MonitorPort % hpr
+		}
+		if c.traced {
+			c.remoteSrc = make(map[flow.ID]int)
+		}
+		c.cMsgsSent = c.reg.Counter("cell.msgs_sent")
+		c.cMsgsDelivered = c.reg.Counter("cell.msgs_delivered")
+		c.cWindows = c.reg.Counter("cell.windows")
+		cells[r] = c
+	}
+	return cells, nil
+}
+
+// runDecomposed is the Shards >= 2 family's coordinator: the cells
+// advance in lockstep lookahead windows, batched BarrierEvery windows per
 // coordinator barrier, executed by a persistent worker pool. Every
 // barrier-side fold (message routing, window-by-window trace replay,
 // series and metric merges) runs on the calling goroutine in rack
 // order, so results are a pure function of the configuration —
 // independent of shard count, batch size, worker count, repack
 // schedule, and GOMAXPROCS.
-func runDecomposed(cfg ShardConfig) (*Result, error) {
-	topo := cfg.Topology
-	tc := topo.Config()
-	look := topo.CoreHopLatency()
-	numCells := tc.Racks
-	hpr := tc.HostsPerRack
+func runDecomposed(cfg ShardConfig, cells []*shardCell) (*Result, error) {
+	look := cfg.Topology.CoreHopLatency()
+	numCells := len(cells)
+	hpr := cells[0].hpr
 
 	batch := cfg.BarrierEvery
 	if batch == 0 {
@@ -993,75 +925,9 @@ func runDecomposed(cfg ShardConfig) (*Result, error) {
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > cfg.Shards {
-		workers = cfg.Shards
-	}
-	if workers > numCells {
-		workers = numCells
-	}
-
-	firstEnd := float64(batch) * look
-	if firstEnd > cfg.Duration {
-		firstEnd = cfg.Duration
-	}
-	cells := make([]*shardCell, numCells)
-	for r := range cells {
-		opts := cfg.SchedOpts
-		seedBase := opts.Seed
-		if seedBase == 0 {
-			seedBase = cfg.Seed
-		}
-		opts.Seed = runner.DeriveSeed(seedBase, r)
-		scheduler, err := sched.New(cfg.Scheduler, opts)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrShardConfig, err)
-		}
-		gen, err := workload.NewMixed(workload.MixedConfig{
-			Topology:          topo,
-			Load:              cfg.Load,
-			QueryByteFraction: cfg.QueryByteFraction,
-			Duration:          cfg.Duration,
-			Seed:              runner.DeriveSeed(cfg.Seed, r),
-			SrcLo:             r * hpr,
-			SrcHi:             (r + 1) * hpr,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrShardConfig, err)
-		}
-		c := &shardCell{
-			rack:           r,
-			base:           r * hpr,
-			hpr:            hpr,
-			uplinks:        tc.Cores,
-			ports:          hpr + tc.Cores,
-			byteRate:       topo.HostLinkBps() / 8,
-			dur:            cfg.Duration,
-			look:           look,
-			interval:       cfg.SampleInterval,
-			monitor:        -1,
-			table:          flow.NewTable(hpr + tc.Cores),
-			scheduler:      scheduler,
-			clearsDirty:    !sched.IsDirtyConsumer(scheduler),
-			validate:       cfg.ValidateDecisions,
-			gen:            gen,
-			nextCompletion: math.Inf(1),
-			fct:            metrics.NewFCT(),
-			thr:            metrics.NewThroughput(cfg.ThroughputBucket),
-			traced:         cfg.Obs != nil,
-		}
-		if cfg.MonitorPort/hpr == r {
-			c.monitor = cfg.MonitorPort % hpr
-		}
-		if c.traced {
-			c.remoteSrc = make(map[flow.ID]int)
-		}
-		c.reg = obs.NewRegistry()
-		c.cDecisions = c.reg.Counter("cell.decisions")
-		c.cMsgsSent = c.reg.Counter("cell.msgs_sent")
-		c.cMsgsDelivered = c.reg.Counter("cell.msgs_delivered")
-		c.cWindows = c.reg.Counter("cell.windows")
-		c.prefetch(firstEnd)
-		cells[r] = c
+	workers = min(workers, cfg.Shards, numCells)
+	for _, c := range cells {
+		c.prefetch(min(float64(batch)*look, cfg.Duration))
 	}
 
 	res := &Result{
@@ -1079,14 +945,14 @@ func runDecomposed(cfg ShardConfig) (*Result, error) {
 	defer pool.stop()
 
 	capTs := make([]float64, 0, batch)
-	w, windows, barriers := 0, 0, 0
+	windows := 0
 	for b := 0; ; b++ {
 		if repackEvery > 0 && b > 0 && b%repackEvery == 0 {
 			pool.repack()
 		}
 		capTs = capTs[:0]
 		for j := 0; j < batch; j++ {
-			capT := float64(w+j+1) * look
+			capT := float64(windows+j+1) * look
 			if capT >= cfg.Duration {
 				capTs = append(capTs, cfg.Duration)
 				break
@@ -1100,11 +966,7 @@ func runDecomposed(cfg ShardConfig) (*Result, error) {
 			// One window past the next batch's widest possible end is still
 			// safe (deeper prefetch only moves messages into outboxes
 			// earlier); what matters is covering at least the next batch.
-			next := float64(w+len(capTs)+batch) * look
-			if next > cfg.Duration {
-				next = cfg.Duration
-			}
-			prefetchTo = next
+			prefetchTo = min(float64(windows+len(capTs)+batch)*look, cfg.Duration)
 		}
 		// Route before the batch: one pass with the batch-end horizon
 		// replaces the skipped intra-batch barriers — by the prefetch
@@ -1124,9 +986,7 @@ func runDecomposed(cfg ShardConfig) (*Result, error) {
 				return nil, c.err
 			}
 		}
-		windows += len(capTs)
-		barriers++
-		accountBatch(cells, pool, b, w, cfg.Timeline)
+		accountBatch(cells, pool, b, windows, cfg.Timeline)
 		foldStart := time.Since(origin).Nanoseconds()
 		if err := foldBatch(cells, res, cfg, len(capTs)); err != nil {
 			return nil, err
@@ -1135,17 +995,18 @@ func runDecomposed(cfg ShardConfig) (*Result, error) {
 			Track: obs.TimelineCoordinator, Name: "fold", Window: b,
 			StartNs: foldStart, DurNs: time.Since(origin).Nanoseconds() - foldStart,
 		})
+		windows += len(capTs)
 		if cfg.OnWindow != nil {
 			p := ShardProgress{
 				SimTime: end, Duration: cfg.Duration,
-				Window: w + len(capTs) - 1, Barrier: b,
-				WindowsPerBarrier: float64(windows) / float64(barriers),
+				Window: windows - 1, Barrier: b,
+				WindowsPerBarrier: float64(windows) / float64(b+1),
 				Cells:             numCells, Workers: len(pool.workers),
 				CellBusyNs: make([]int64, numCells),
 				CellWaitNs: make([]int64, numCells),
 			}
 			for i, c := range cells {
-				p.Decisions += c.decisions
+				p.Decisions += c.cDecisions.Value()
 				p.ArrivedFlows += c.arrivedFlows
 				p.CompletedFlows += c.completedFlows
 				p.CellBusyNs[i] = c.busyNs
@@ -1153,12 +1014,10 @@ func runDecomposed(cfg ShardConfig) (*Result, error) {
 			}
 			cfg.OnWindow(p)
 		}
-		w += len(capTs)
 		if last {
-			break
+			return mergeCells(cells, res, cfg, windows, b+1, pool), nil
 		}
 	}
-	return mergeCells(cells, res, cfg, windows, barriers, pool)
 }
 
 // accountBatch folds one batch's wall-clock stamps into the per-cell
@@ -1191,7 +1050,7 @@ func accountBatch(cells []*shardCell, pool *shardPool, barrier, firstWindow int,
 	for _, c := range cells {
 		n := len(c.winStarts)
 		for j := 0; j < n; j++ {
-			tl.Add(obs.TimelineSpan{Track: c.rack, Name: "window", Window: firstWindow + j,
+			tl.Add(obs.TimelineSpan{Track: c.cell, Name: "window", Window: firstWindow + j,
 				StartNs: c.winStarts[j], DurNs: c.winDurs[j]})
 		}
 		cellStart, cellEnd := int64(0), int64(0)
@@ -1199,11 +1058,11 @@ func accountBatch(cells []*shardCell, pool *shardPool, barrier, firstWindow int,
 			cellStart = c.winStarts[0]
 			cellEnd = c.winStarts[n-1] + c.winDurs[n-1]
 		}
-		tl.Add(obs.TimelineSpan{Track: c.rack, Name: "batch", Window: barrier,
+		tl.Add(obs.TimelineSpan{Track: c.cell, Name: "batch", Window: barrier,
 			StartNs: cellStart, DurNs: cellEnd - cellStart})
 		wait := barrierEnd - cellEnd
 		c.barrierWaitNs += wait
-		tl.Add(obs.TimelineSpan{Track: c.rack, Name: "barrier", Window: barrier,
+		tl.Add(obs.TimelineSpan{Track: c.cell, Name: "barrier", Window: barrier,
 			StartNs: cellEnd, DurNs: wait})
 		c.winStarts = c.winStarts[:0]
 		c.winDurs = c.winDurs[:0]
@@ -1268,24 +1127,15 @@ func foldBatch(cells []*shardCell, res *Result, cfg ShardConfig, nwin int) error
 	return nil
 }
 
-// sampleSeg returns the cell's sample slice for window k of the current
-// batch, delimited by the fold marks runTimedWindow recorded.
-func (c *shardCell) sampleSeg(k int) []cellSample {
+// windowSeg returns window k's slice of a cell buffer (samples or
+// completion events) in the current batch, delimited by the cumulative
+// fold marks runWindow recorded.
+func windowSeg[T any](buf []T, marks []int, k int) []T {
 	lo := 0
 	if k > 0 {
-		lo = c.sampleMarks[k-1]
+		lo = marks[k-1]
 	}
-	return c.samples[lo:c.sampleMarks[k]]
-}
-
-// doneSeg returns the cell's completion-event slice for window k of the
-// current batch.
-func (c *shardCell) doneSeg(k int) []cellDone {
-	lo := 0
-	if k > 0 {
-		lo = c.doneMarks[k-1]
-	}
-	return c.dones[lo:c.doneMarks[k]]
+	return buf[lo:marks[k]]
 }
 
 // foldWindowSeg merges one window's per-cell sample ticks into the
@@ -1294,18 +1144,18 @@ func (c *shardCell) doneSeg(k int) []cellDone {
 // interleaved before each tick's sample.queue / sample.total /
 // sample.maxport triplet exactly as the centralized engine orders them.
 func foldWindowSeg(cells []*shardCell, res *Result, cfg ShardConfig, k int) error {
-	ref := cells[0].sampleSeg(k)
+	ref := windowSeg(cells[0].samples, cells[0].sampleMarks, k)
 	nticks := len(ref)
 	for _, c := range cells {
-		if n := len(c.sampleSeg(k)); n != nticks {
+		if n := len(windowSeg(c.samples, c.sampleMarks, k)); n != nticks {
 			return fmt.Errorf("fabricsim shard: cell %d recorded %d sample ticks, cell 0 recorded %d",
-				c.rack, n, nticks)
+				c.cell, n, nticks)
 		}
 	}
 	var merged []cellDone
 	if cfg.Obs != nil {
 		for _, c := range cells {
-			merged = append(merged, c.doneSeg(k)...)
+			merged = append(merged, windowSeg(c.dones, c.doneMarks, k)...)
 		}
 		sort.SliceStable(merged, func(i, j int) bool { return merged[i].t < merged[j].t })
 	}
@@ -1315,7 +1165,7 @@ func foldWindowSeg(cells []*shardCell, res *Result, cfg ShardConfig, k int) erro
 		var queue, total float64
 		maxPort, maxB := ref[i].maxPort, ref[i].maxB
 		for _, c := range cells {
-			s := c.sampleSeg(k)[i]
+			s := windowSeg(c.samples, c.sampleMarks, k)[i]
 			total += s.total
 			if c.monitor >= 0 {
 				queue = s.monitor
@@ -1345,46 +1195,25 @@ func foldWindowSeg(cells []*shardCell, res *Result, cfg ShardConfig, k int) erro
 // mergeCells folds the per-cell metrics into the global Result in rack
 // order — the fixed fold order that makes every float accumulation
 // (FCT sums, sample order, throughput buckets) a pure function of the
-// per-cell streams — and seals the instrumentation registry the way
-// the centralized finish() does.
-func mergeCells(cells []*shardCell, res *Result, cfg ShardConfig, windows, barriers int, pool *shardPool) (*Result, error) {
+// per-cell streams — and seals the instrumentation registry through the
+// same path as the centralized finish().
+func mergeCells(cells []*shardCell, res *Result, cfg ShardConfig, windows, barriers int, pool *shardPool) *Result {
 	reg := cfg.Obs.Registry()
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	var repairs, rebuilds, poolReuses int64
-	var poolSize, highWater int
-	for _, c := range cells {
+	ks := make([]*kernel, len(cells))
+	highWater := 0
+	for i, c := range cells {
+		ks[i] = &c.kernel
 		res.FCT.Merge(c.fct)
 		res.Throughput.Merge(c.thr)
-		res.ArrivedFlows += c.arrivedFlows
-		res.CompletedFlows += c.completedFlows
-		res.ArrivedBytes += c.arrivedBytes
-		res.DepartedBytes += c.departedBytes
-		res.LeftoverBytes += c.table.TotalBacklog()
-		res.LeftoverFlows += c.table.NumFlows()
-		res.Decisions += c.decisions
-		res.SchedNanos += c.schedNanos
-		ist := sched.IndexStatsOf(c.scheduler)
-		repairs += ist.Repairs
-		rebuilds += ist.Rebuilds
-		if hw := c.gen.QueueHighWater(); hw > highWater {
-			highWater = hw
-		}
-		poolReuses += c.pool.Reuses()
-		poolSize += c.pool.Len()
+		highWater = max(highWater, c.gen.QueueHighWater())
 	}
+	seal(res, reg, ks...)
 	reg.Counter("fabric.decisions").Add(res.Decisions)
 	reg.Counter("fabric.sched_nanos").Add(res.SchedNanos)
-	reg.Counter("fabric.arrived_flows").Add(int64(res.ArrivedFlows))
-	reg.Counter("fabric.completed_flows").Add(int64(res.CompletedFlows))
-	if repairs+rebuilds > 0 {
-		reg.Counter("sched.index_repairs").Add(repairs)
-		reg.Counter("sched.index_rebuilds").Add(rebuilds)
-	}
 	reg.Gauge("eventq.high_water").Set(float64(highWater))
-	reg.Counter("flow.pool_reuses").Add(poolReuses)
-	reg.Gauge("flow.pool_size").Set(float64(poolSize))
 
 	// Per-cell attribution: seal each cell's deterministic-plane registry
 	// (plus its wall-clock busy/wait counters, filtered out of digests by
@@ -1408,7 +1237,6 @@ func mergeCells(cells []*shardCell, res *Result, cfg ShardConfig, windows, barri
 		c.reg.Gauge("cell.eventq_high_water").Set(float64(c.gen.QueueHighWater()))
 		c.reg.Counter("wall.busy_ns").Add(c.busyNs)
 		c.reg.Counter("wall.barrier_wait_ns").Add(c.barrierWaitNs)
-		c.reg.Counter("wall.sched_nanos").Add(c.schedNanos)
 		res.ShardObs = append(res.ShardObs, c.reg.Snapshot())
 		im.BusyNs[i] = c.busyNs
 		im.BarrierWaitNs[i] = c.barrierWaitNs
@@ -1418,9 +1246,7 @@ func mergeCells(cells []*shardCell, res *Result, cfg ShardConfig, windows, barri
 		}
 		totalBusy += c.busyNs
 		totalWait += c.barrierWaitNs
-		if c.busyNs > maxBusy {
-			maxBusy = c.busyNs
-		}
+		maxBusy = max(maxBusy, c.busyNs)
 	}
 	var workerBusy, workerWait int64
 	for g, wk := range pool.workers {
@@ -1447,5 +1273,5 @@ func mergeCells(cells []*shardCell, res *Result, cfg ShardConfig, windows, barri
 	reg.Gauge("wall.workers").Set(float64(len(pool.workers)))
 
 	res.Obs = reg.Snapshot()
-	return res, nil
+	return res
 }

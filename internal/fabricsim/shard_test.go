@@ -161,15 +161,44 @@ func TestRunShardDecomposedDeterminism(t *testing.T) {
 // TestRunShardDecomposedConservation checks the decomposed engine's
 // bookkeeping invariants: byte conservation (arrived = departed +
 // leftover) and flow conservation, plus non-degenerate cross-rack
-// traffic actually flowing through the proxy ports.
+// traffic actually flowing through the proxy ports. After the run every
+// cell's kernel is deep-validated — VOQ aggregates over its hosts and
+// core-proxy ports, per-cell byte conservation, and the scheduler's
+// candidate index — the same check DeepValidateEvery runs centrally.
 func TestRunShardDecomposedConservation(t *testing.T) {
 	topo := shardTopo(t, 4, 4)
-	res, err := RunShard(ShardConfig{
+	cfg, err := ShardConfig{
 		Topology: topo, Scheduler: "srpt", Load: 0.9,
 		Duration: 0.02, Seed: 3, Shards: 2, ValidateDecisions: true,
-	})
+	}.withDefaults()
 	if err != nil {
 		t.Fatal(err)
+	}
+	cells, err := newShardCells(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := runDecomposed(cfg, cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cells {
+		if c.ports != topo.Config().HostsPerRack+topo.Config().Cores {
+			t.Fatalf("cell %d kernel spans %d ports", c.cell, c.ports)
+		}
+		if c.table.NumFlows() == 0 || c.cMsgsDelivered.Value() == 0 {
+			t.Fatalf("cell %d ended empty or saw no proxy traffic; deep validation is vacuous", c.cell)
+		}
+		if err := c.deepValidate(); err != nil {
+			t.Fatalf("cell %d: %v", c.cell, err)
+		}
+	}
+	viaRunShard, err := RunShard(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.DeterministicDigest(), viaRunShard.DeterministicDigest(); got != want {
+		t.Fatalf("split construction digest %s != RunShard digest %s", got, want)
 	}
 	if res.ArrivedFlows == 0 || res.CompletedFlows == 0 {
 		t.Fatalf("degenerate run: arrived %d completed %d", res.ArrivedFlows, res.CompletedFlows)

@@ -6,8 +6,8 @@
 #   2. every command under cmd/ has a `// Command <name> ...` comment;
 #   3. every exported top-level symbol in internal/scenario (the
 #      spec/findings API other tools consume), internal/obs (the
-#      instrumentation API), and internal/ops (the live-endpoint API)
-#      carries a doc comment.
+#      instrumentation API), internal/ops (the live-endpoint API), and
+#      internal/fabricsim (the engine API) carries a doc comment.
 #
 # Stdlib tooling only: grep + awk over non-test Go sources.
 set -euo pipefail
@@ -42,7 +42,7 @@ done
 # documented: any top-level `func F`, method on any receiver, `type T`,
 # or `const`/`var` (single exported name or grouped block) must be
 # preceded by a comment.
-for f in internal/scenario/*.go internal/obs/*.go internal/ops/*.go; do
+for f in internal/scenario/*.go internal/obs/*.go internal/ops/*.go internal/fabricsim/*.go; do
     case "$f" in *_test.go) continue ;; esac
     awk -v file="$f" '
         /^(func|type) [A-Z]/ || /^func \([^)]+\) [A-Z]/ || /^(const|var) ([A-Z]|\()/ {
@@ -60,4 +60,4 @@ if [ "$fail" -ne 0 ]; then
     echo "doccheck: FAIL" >&2
     exit 1
 fi
-echo "doccheck: OK (package comments, command comments, scenario/obs/ops exported symbols)"
+echo "doccheck: OK (package comments, command comments, scenario/obs/ops/fabricsim exported symbols)"
