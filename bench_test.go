@@ -265,8 +265,7 @@ func BenchmarkIncast(b *testing.B) {
 // BenchmarkMultiSeedTable1 exercises the worker-pool experiment runner on
 // the Table I workload — 4 seeds × 2 schedulers fanned across GOMAXPROCS
 // workers — and reports the pool's throughput plus its wall-time speedup
-// over a serial pass of the byte-identical work. This is the regression
-// guard behind `make bench-smoke` / BENCH_runner.json.
+// over a serial pass of the byte-identical work.
 func BenchmarkMultiSeedTable1(b *testing.B) {
 	s := benchScale()
 	s.Duration = 0.5

@@ -76,11 +76,10 @@ type Config struct {
 	// through the simulator's free list, so every arrival allocates as it
 	// did before pooling existed. Recycling is invisible to the physics —
 	// pooled and non-pooled runs produce byte-identical Results at a fixed
-	// seed (property-tested, and cross-checked by RunAllocBench) — so the
-	// knob exists only for that A/B comparison. Pooling also switches off
-	// automatically when Faults is set: the outage fallback's held matching
-	// retains flow pointers across completions, which recycling would
-	// invalidate.
+	// seed (TestFlowPoolEquivalence) — so the knob exists only for that
+	// A/B comparison. Pooling also switches off automatically when Faults
+	// is set: the outage fallback's held matching retains flow pointers
+	// across completions, which recycling would invalidate.
 	DisableFlowPool bool
 	// Faults, when non-nil, injects the schedule's link faults (access
 	// links down or degraded for an interval, forcing reschedules at the
@@ -273,8 +272,8 @@ type Result struct {
 	// SchedNanos is the cumulative wall-clock time spent inside
 	// Scheduler.Schedule, in nanoseconds. It is measured, not simulated —
 	// machine-dependent by nature — so it feeds the scheduling benchmarks
-	// (BENCH_sched.json) and never enters the deterministic sample
-	// aggregates the multi-seed runner compares across worker counts.
+	// and never enters the deterministic sample aggregates the multi-seed
+	// runner compares across worker counts.
 	SchedNanos int64
 	// Duration is the simulated time covered: the configured horizon, or
 	// the truncation point when the watchdog stopped the run early.

@@ -3,8 +3,8 @@ package obs
 import "testing"
 
 // The disabled path is a nil handle: these benchmarks bound the cost the
-// instrumentation adds to uninstrumented runs. The obsbench harness
-// (core/obsbench.go) folds these numbers into BENCH_obs.json.
+// instrumentation adds to uninstrumented runs. fabricsim's
+// TestObsDisabledOverhead gates the same probe cost per decision.
 
 func BenchmarkObsDisabledEmit(b *testing.B) {
 	var o *Obs

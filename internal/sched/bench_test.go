@@ -67,7 +67,7 @@ func benchSchedule(b *testing.B, s Scheduler, n, population int) {
 	}
 }
 
-// The old-vs-new pairs behind BENCH_sched.json: every routed discipline at
+// Old-vs-new scheduling-core pairs: every routed discipline at
 // N=144 and a high-load flow population, incremental index versus the
 // from-scratch gather-and-sort it replaced.
 const (
