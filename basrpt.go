@@ -395,24 +395,15 @@ func NewTraceContinuationWriter(w io.Writer) *TraceWriter {
 // line alongside the error.
 func ReadTrace(r io.Reader) (TraceHeader, []ObsEvent, error) { return trace.ReadTrace(r) }
 
-// Multi-seed experiment running (see internal/runner).
+// Run context and multi-seed progress (see internal/runner). Multi-seed
+// experiments are scenario specs (internal/scenario, cmd/basrptexp).
 type (
 	// Run is the run context the non-fabric experiment entry points take:
 	// the primary seed plus auxiliary seeds derived from it.
 	Run = core.Run
-	// MultiConfig shapes a multi-seed run: replicate count, worker count,
-	// and the root seed the per-replicate seeds derive from.
-	MultiConfig = runner.Config
-	// MultiAggregate carries per-metric mean, stddev, and 95% confidence
-	// intervals across the replicates.
-	MultiAggregate = runner.Aggregate
-	// MultiTask is one independently repeatable simulation unit.
-	MultiTask = runner.Task
-	// MultiSample is the named metric values one task run produced.
-	MultiSample = runner.Sample
 	// MultiProgress is one lifecycle notification from the multi-seed
-	// runner (MultiConfig.OnProgress): unit identity, phase, and overall
-	// completion count.
+	// runner behind scenario execution: unit identity, phase, and overall
+	// completion count. OpsServer.PublishUnit consumes it.
 	MultiProgress = runner.Progress
 	// MultiPhase labels where a unit is in its lifecycle (start, resume,
 	// done, failed).
@@ -421,25 +412,6 @@ type (
 
 // SeedRun wraps a bare primary seed in a Run context.
 func SeedRun(seed uint64) Run { return core.SeedRun(seed) }
-
-// RunMulti executes the named experiment (any -exp id except the
-// long-horizon stability showcase) across cfg.Seeds independent seeds on
-// up to cfg.Parallel workers, aggregating every headline metric with a
-// 95% confidence interval. The aggregate is byte-identical regardless of
-// worker count.
-func RunMulti(exp string, scale Scale, v float64, cfg MultiConfig) (*MultiAggregate, error) {
-	return core.RunMulti(exp, scale, v, cfg)
-}
-
-// RunTasks fans caller-supplied tasks across the worker pool — the
-// generic form of RunMulti for custom experiments.
-func RunTasks(cfg MultiConfig, tasks []MultiTask) (*MultiAggregate, error) {
-	return runner.Run(cfg, tasks)
-}
-
-// DeriveSeed maps (root, stream) to the deterministic per-replicate seed
-// the multi-seed runner uses.
-func DeriveSeed(root uint64, stream int) uint64 { return runner.DeriveSeed(root, stream) }
 
 // Live ops endpoint (see internal/ops): the wall-clock plane's network
 // face — Prometheus /metrics, /progress JSON, and pprof over a plain

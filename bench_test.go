@@ -261,27 +261,3 @@ func BenchmarkIncast(b *testing.B) {
 	b.ReportMetric(srptP99, "srpt-response-p99-ms")
 	b.ReportMetric(fastP99, "basrpt-response-p99-ms")
 }
-
-// BenchmarkMultiSeedTable1 exercises the worker-pool experiment runner on
-// the Table I workload — 4 seeds × 2 schedulers fanned across GOMAXPROCS
-// workers — and reports the pool's throughput plus its wall-time speedup
-// over a serial pass of the byte-identical work.
-func BenchmarkMultiSeedTable1(b *testing.B) {
-	s := benchScale()
-	s.Duration = 0.5
-	var runsPerSec, speedup float64
-	for i := 0; i < b.N; i++ {
-		par, err := RunMulti("table1", s, DefaultV, MultiConfig{Seeds: 4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ser, err := RunMulti("table1", s, DefaultV, MultiConfig{Seeds: 4, Parallel: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		runsPerSec = par.RunsPerSec()
-		speedup = ser.Elapsed.Seconds() / par.Elapsed.Seconds()
-	}
-	b.ReportMetric(runsPerSec, "runs/s")
-	b.ReportMetric(speedup, "speedup")
-}

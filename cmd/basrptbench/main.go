@@ -4,17 +4,15 @@
 //	basrptbench -exp all -scale medium
 //	basrptbench -exp table1 -scale paper      # full 144-host, 500 s run
 //	basrptbench -exp fig6 -v 2500
-//	basrptbench -exp table1 -seeds 5 -parallel 4   # 5-seed aggregate with ±ci
 //
 // Experiments: fig1, fig2, table1, fig5, fig6, fig7, fig8, theory, dtmc,
 // ablation, distributed, incast, noise, faults, all — plus the opt-in
-// long-horizon "stability" showcase. Pass -csvdir to also export the
-// series/rows as CSV.
+// long-horizon "stability" showcase. An id outside that set is an error.
+// Pass -csvdir to also export the series/rows as CSV.
 //
-// With -seeds N (N > 1) every experiment runs N independent replicates on
-// up to -parallel workers and reports per-metric mean, ±95% confidence
-// interval, stddev, min, and max instead of the single-seed tables. The
-// aggregates are byte-identical for any -parallel value.
+// Every run is a single seed (-seed). Multi-seed aggregates with 95%
+// confidence intervals are scenario specs, run by basrptexp (see
+// EXPERIMENTS.md for the spec behind each paper figure).
 //
 // Profiling: -cpuprofile/-memprofile write pprof profiles around whatever
 // work the other flags select; -pprof ADDR serves net/http/pprof for live
@@ -31,14 +29,21 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
 	"basrpt"
-	"basrpt/internal/core"
-	"basrpt/internal/runner"
 	"basrpt/internal/trace"
 )
+
+// experiments lists every valid -exp id, for both the flag's help text
+// and the check that rejects anything else. "all" selects each of them
+// except the long-horizon stability showcase.
+var experiments = []string{
+	"fig1", "fig2", "table1", "fig5", "fig6", "fig7", "fig8", "theory", "dtmc",
+	"ablation", "distributed", "incast", "noise", "faults", "stability", "all",
+}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -50,7 +55,7 @@ func main() {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("basrptbench", flag.ContinueOnError)
 	var (
-		exp       = fs.String("exp", "all", "experiment id (fig1|fig2|table1|fig5|fig6|fig7|fig8|theory|dtmc|ablation|distributed|incast|noise|faults|all)")
+		exp       = fs.String("exp", "all", "experiment id ("+strings.Join(experiments, "|")+")")
 		scaleName = fs.String("scale", "medium", "experiment scale (small|medium|paper)")
 		v         = fs.Float64("v", 0, "BASRPT tradeoff weight V (0 = paper default 2500)")
 		seed      = fs.Uint64("seed", 1, "random seed")
@@ -59,8 +64,6 @@ func run(args []string, w io.Writer) error {
 		hosts     = fs.Int("hosts", 0, "override hosts per rack (0 = scale default)")
 		csvDir    = fs.String("csvdir", "", "when set, also export each experiment's series/rows as CSV into this directory")
 		faultSeed = fs.Uint64("faultseed", 1, "seed of the faults experiment's fault schedule")
-		seeds     = fs.Int("seeds", 1, "independent replicates per experiment; > 1 switches to aggregated ±ci output")
-		parallel  = fs.Int("parallel", 0, "worker count for multi-seed runs (0 = GOMAXPROCS)")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of the selected work to this file")
 		memProf   = fs.String("memprofile", "", "write a heap profile (after the selected work) to this file")
 		pprofAddr = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) while the work runs")
@@ -68,9 +71,15 @@ func run(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *seeds < 1 {
-		return fmt.Errorf("seeds %d < 1", *seeds)
+	selected := map[string]bool{}
+	for _, e := range strings.Split(*exp, ",") {
+		e = strings.TrimSpace(e)
+		if !slices.Contains(experiments, e) {
+			return fmt.Errorf("unknown experiment %q (valid: %s)", e, strings.Join(experiments, "|"))
+		}
+		selected[e] = true
 	}
+	all := selected["all"]
 
 	if *pprofAddr != "" {
 		go func() {
@@ -123,25 +132,6 @@ func run(args []string, w io.Writer) error {
 		scale.HostsPerRack = *hosts
 	}
 
-	wanted := strings.Split(*exp, ",")
-	selected := map[string]bool{}
-	for _, e := range wanted {
-		selected[strings.TrimSpace(e)] = true
-	}
-	all := selected["all"]
-
-	if *seeds > 1 {
-		return runMultiSeed(w, multiParams{
-			scale:    scale,
-			v:        *v,
-			selected: selected,
-			all:      all,
-			csvDir:   *csvDir,
-			cfg:      runner.Config{Seeds: *seeds, Parallel: *parallel, RootSeed: *seed},
-		})
-	}
-
-	ran := 0
 	runExp := func(names []string, fn func() (string, error)) error {
 		match := all
 		for _, n := range names {
@@ -159,7 +149,6 @@ func run(args []string, w io.Writer) error {
 		}
 		fmt.Fprintln(w, out)
 		fmt.Fprintf(w, "[%s took %s]\n\n", strings.Join(names, "/"), time.Since(start).Round(time.Millisecond))
-		ran++
 		return nil
 	}
 
@@ -212,7 +201,6 @@ func run(args []string, w io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(w, "[table1/fig5 took %s]\n\n", time.Since(start).Round(time.Millisecond))
-		ran++
 	}
 
 	if err := runExp([]string{"fig6"}, func() (string, error) {
@@ -272,7 +260,6 @@ func run(args []string, w io.Writer) error {
 			}
 		}
 		fmt.Fprintf(w, "[fig7/fig8 took %s]\n\n", time.Since(start).Round(time.Millisecond))
-		ran++
 	}
 
 	if err := runExp([]string{"theory"}, func() (string, error) {
@@ -335,7 +322,6 @@ func run(args []string, w io.Writer) error {
 			return fmt.Errorf("stability csv: %w", err)
 		}
 		fmt.Fprintf(w, "[stability took %s]\n\n", time.Since(start).Round(time.Millisecond))
-		ran++
 	}
 
 	if err := runExp([]string{"incast"}, func() (string, error) {
@@ -364,94 +350,13 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 
-	if err := runExp([]string{"noise"}, func() (string, error) {
+	return runExp([]string{"noise"}, func() (string, error) {
 		res, err := basrpt.RunNoise(scale, *v, 0.8, nil)
 		if err != nil {
 			return "", err
 		}
 		return res.Render(), nil
-	}); err != nil {
-		return err
-	}
-
-	if ran == 0 {
-		return fmt.Errorf("unknown experiment %q", *exp)
-	}
-	return nil
-}
-
-// multiParams carries the -seeds > 1 configuration into the multi-seed
-// path.
-type multiParams struct {
-	scale    basrpt.Scale
-	v        float64
-	selected map[string]bool
-	all      bool
-	csvDir   string
-	cfg      runner.Config
-}
-
-// runMultiSeed is the -seeds > 1 path: every selected experiment fans its
-// replicates across the worker pool and prints a per-metric mean/±ci95
-// aggregate instead of the single-seed tables. Timing lines are bracketed
-// so they can be stripped when comparing outputs across worker counts.
-func runMultiSeed(w io.Writer, p multiParams) error {
-	ran := 0
-	for _, spec := range core.MultiSpecs() {
-		match := p.all
-		for _, n := range spec.Names {
-			if p.selected[n] {
-				match = true
-			}
-		}
-		if !match {
-			continue
-		}
-		agg, err := basrpt.RunMulti(spec.Names[0], p.scale, p.v, p.cfg)
-		if err != nil {
-			return fmt.Errorf("%s: %w", spec.Names[0], err)
-		}
-		fmt.Fprintln(w, agg.Render(spec.Title))
-		fmt.Fprintf(w, "[%s took %s on %d workers, %.2f runs/s]\n\n",
-			strings.Join(spec.Names, "/"), agg.Elapsed.Round(time.Millisecond),
-			agg.Parallel, agg.RunsPerSec())
-		if err := exportAggregate(p.csvDir, "multi_"+spec.Names[0], agg); err != nil {
-			return err
-		}
-		ran++
-	}
-	if p.selected["stability"] {
-		fmt.Fprintln(w, "stability: no multi-seed form (its value is one long trajectory); rerun with -seeds 1")
-	}
-	if ran == 0 {
-		return fmt.Errorf("no selected experiment has a multi-seed form")
-	}
-	return nil
-}
-
-// exportAggregate writes a multi-seed aggregate as <dir>/<name>.csv; a
-// no-op when dir is empty.
-func exportAggregate(dir, name string, agg *runner.Aggregate) error {
-	if dir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("create csv dir: %w", err)
-	}
-	path := filepath.Join(dir, name+".csv")
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("create %s: %w", path, err)
-	}
-	writeErr := agg.WriteCSV(f)
-	closeErr := f.Close()
-	if writeErr != nil {
-		return fmt.Errorf("write %s: %w", path, writeErr)
-	}
-	if closeErr != nil {
-		return fmt.Errorf("close %s: %w", path, closeErr)
-	}
-	return nil
+	})
 }
 
 // exportSeries writes each named series as <dir>/<name>.csv; a no-op when

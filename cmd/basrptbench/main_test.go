@@ -46,6 +46,17 @@ func TestRunRejectsBadInput(t *testing.T) {
 	if err := run([]string{"-exp", "nonsense"}, &buf); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
+	// A typo beside a valid id must not be dropped silently, and the
+	// error must name the valid ids.
+	buf.Reset()
+	err := run([]string{"-exp", "fig1,tabel1"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), `"tabel1"`) ||
+		!strings.Contains(err.Error(), "fig1|fig2|table1") {
+		t.Fatalf("-exp fig1,tabel1: err = %v", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("-exp fig1,tabel1 ran experiments before failing:\n%s", buf.String())
+	}
 	if err := run([]string{"-scale", "galactic"}, &buf); err == nil {
 		t.Fatal("unknown scale accepted")
 	}
@@ -100,70 +111,6 @@ func TestScaleOverrides(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "4 hosts (2x2)") {
 		t.Fatalf("override not applied:\n%s", buf.String())
-	}
-}
-
-// stripTimingLines drops the bracketed wall-time lines so outputs can be
-// compared across worker counts.
-func stripTimingLines(s string) string {
-	var kept []string
-	for _, line := range strings.Split(s, "\n") {
-		if strings.HasPrefix(line, "[") {
-			continue
-		}
-		kept = append(kept, line)
-	}
-	return strings.Join(kept, "\n")
-}
-
-// TestMultiSeedDeterminism is the acceptance check: -seeds 5 -parallel 4
-// must produce byte-identical aggregate output to -seeds 5 -parallel 1.
-func TestMultiSeedDeterminism(t *testing.T) {
-	base := []string{"-exp", "table1", "-scale", "small", "-duration", "0.4", "-seeds", "5"}
-	var par, ser bytes.Buffer
-	if err := run(append(base, "-parallel", "4"), &par); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(append(base, "-parallel", "1"), &ser); err != nil {
-		t.Fatal(err)
-	}
-	p, s := stripTimingLines(par.String()), stripTimingLines(ser.String())
-	if p != s {
-		t.Fatalf("parallel output differs from serial:\n--- parallel ---\n%s\n--- serial ---\n%s", p, s)
-	}
-	if !strings.Contains(p, "±ci95") || !strings.Contains(p, "5 seeds") {
-		t.Fatalf("aggregate output missing ±ci column or seed count:\n%s", p)
-	}
-}
-
-// TestMultiSeedCSV checks the multi-seed aggregate CSV export.
-func TestMultiSeedCSV(t *testing.T) {
-	dir := t.TempDir()
-	var buf bytes.Buffer
-	err := run([]string{
-		"-exp", "table1", "-scale", "small", "-duration", "0.4",
-		"-seeds", "3", "-parallel", "2", "-csvdir", dir,
-	}, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	csvData, err := os.ReadFile(filepath.Join(dir, "multi_table1.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(string(csvData), "metric,n,mean,ci95,") {
-		t.Fatalf("aggregate csv header wrong:\n%s", csvData)
-	}
-}
-
-// TestMultiSeedRejectsBadFlags pins the multi-seed flag validation.
-func TestMultiSeedRejectsBadFlags(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-seeds", "0"}, &buf); err == nil {
-		t.Fatal("seeds 0 accepted")
-	}
-	if err := run([]string{"-exp", "stability", "-seeds", "2", "-scale", "small"}, &buf); err == nil {
-		t.Fatal("stability-only multi-seed run should fail (no multi-seed form)")
 	}
 }
 

@@ -7,11 +7,9 @@
 // writes /tmp/srpt_queue.csv, /tmp/srpt_total_backlog.csv and
 // /tmp/srpt_throughput.csv. With -out "" the series go to stdout.
 //
-// With -seeds N (N > 1) the command instead replicates the run across N
-// seeds on up to -parallel workers and prints the scalar headline metrics
-// (throughput, per-class FCT, backlog tail) as a mean/±ci95 aggregate;
-// series export stays single-seed because trajectories from different
-// seeds cannot be meaningfully averaged sample-by-sample.
+// Each run is one seed: trajectories from different seeds cannot be
+// averaged sample by sample. Multi-seed aggregates of the scalar headline
+// metrics are scenario specs, run by basrptexp.
 package main
 
 import (
@@ -19,10 +17,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"basrpt"
-	"basrpt/internal/runner"
 	"basrpt/internal/trace"
 )
 
@@ -45,87 +41,10 @@ func run(args []string, stdout io.Writer) error {
 		seed      = fs.Uint64("seed", 1, "random seed")
 		monitor   = fs.Int("port", 0, "ingress port to monitor")
 		out       = fs.String("out", "", "output file prefix (empty: stdout)")
-		seeds     = fs.Int("seeds", 1, "replicates; > 1 prints a scalar-metric ±ci aggregate instead of series")
-		parallel  = fs.Int("parallel", 0, "worker count for multi-seed runs (0 = GOMAXPROCS)")
 		tracePath = fs.String("trace", "", "also write the schema-versioned JSONL event trace to this file (single-seed only)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *seeds < 1 {
-		return fmt.Errorf("seeds %d < 1", *seeds)
-	}
-	if *tracePath != "" && *seeds > 1 {
-		return fmt.Errorf("-trace is single-seed only (traces from concurrent replicates would interleave); rerun with -seeds 1")
-	}
-
-	// simulate runs one full fabric simulation for the given seed. Every
-	// component — scheduler included — is built inside so the closure is
-	// safe to invoke from concurrent runner workers (which pass a nil
-	// instrumentation handle).
-	simulate := func(seed uint64, o *basrpt.Obs) (*basrpt.FabricResult, error) {
-		topo, err := basrpt.NewTopology(basrpt.ScaledTopology(*racks, *hosts))
-		if err != nil {
-			return nil, err
-		}
-		scheduler, err := basrpt.NewScheduler(*schedName, basrpt.SchedulerOptions{V: *v, Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		gen, err := basrpt.NewMixedWorkload(basrpt.MixedConfig{
-			Topology:          topo,
-			Load:              *load,
-			QueryByteFraction: basrpt.DefaultQueryByteFraction,
-			Duration:          *duration,
-			Seed:              seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		sim, err := basrpt.NewFabricSim(basrpt.FabricConfig{
-			Hosts:       topo.NumHosts(),
-			LinkBps:     topo.HostLinkBps(),
-			Scheduler:   scheduler,
-			Generator:   gen,
-			Duration:    *duration,
-			MonitorPort: *monitor,
-			Obs:         o,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return sim.Run()
-	}
-
-	if *seeds > 1 {
-		task := runner.Task{Name: *schedName, Run: func(seed uint64) (runner.Sample, error) {
-			res, err := simulate(seed, nil)
-			if err != nil {
-				return nil, err
-			}
-			q := res.FCT.Stats(basrpt.ClassQuery)
-			bg := res.FCT.Stats(basrpt.ClassBackground)
-			return runner.Sample{
-				"gbps":            res.AverageGbps(),
-				"query_avg_ms":    q.MeanMs,
-				"query_p99_ms":    q.P99Ms,
-				"bg_avg_ms":       bg.MeanMs,
-				"bg_p99_ms":       bg.P99Ms,
-				"completed_flows": float64(res.CompletedFlows),
-				"maxport_tail_mb": res.MaxPortSeries.TailMean(0.3) / 1e6,
-			}, nil
-		}}
-		agg, err := basrpt.RunTasks(basrpt.MultiConfig{
-			Seeds: *seeds, Parallel: *parallel, RootSeed: *seed,
-		}, []basrpt.MultiTask{task})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, agg.Render(fmt.Sprintf("trace %s, load %.0f%%, %d×%d hosts",
-			*schedName, *load*100, *racks, *hosts)))
-		fmt.Fprintf(stdout, "[%d seeds on %d workers in %s; series export is single-seed — rerun with -seeds 1]\n",
-			*seeds, agg.Parallel, agg.Elapsed.Round(time.Millisecond))
-		return nil
 	}
 
 	var traceFile *os.File
@@ -151,7 +70,37 @@ func run(args []string, stdout io.Writer) error {
 		o = basrpt.NewObs(basrpt.ObsOptions{Sink: traceWriter})
 	}
 
-	res, err := simulate(*seed, o)
+	topo, err := basrpt.NewTopology(basrpt.ScaledTopology(*racks, *hosts))
+	if err != nil {
+		return err
+	}
+	scheduler, err := basrpt.NewScheduler(*schedName, basrpt.SchedulerOptions{V: *v, Seed: *seed})
+	if err != nil {
+		return err
+	}
+	gen, err := basrpt.NewMixedWorkload(basrpt.MixedConfig{
+		Topology:          topo,
+		Load:              *load,
+		QueryByteFraction: basrpt.DefaultQueryByteFraction,
+		Duration:          *duration,
+		Seed:              *seed,
+	})
+	if err != nil {
+		return err
+	}
+	sim, err := basrpt.NewFabricSim(basrpt.FabricConfig{
+		Hosts:       topo.NumHosts(),
+		LinkBps:     topo.HostLinkBps(),
+		Scheduler:   scheduler,
+		Generator:   gen,
+		Duration:    *duration,
+		MonitorPort: *monitor,
+		Obs:         o,
+	})
+	if err != nil {
+		return err
+	}
+	res, err := sim.Run()
 	if err != nil {
 		return err
 	}

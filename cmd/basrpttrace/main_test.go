@@ -92,12 +92,4 @@ func TestRunJSONLTraceExport(t *testing.T) {
 	if !strings.Contains(buf.String(), "run.jsonl") {
 		t.Fatalf("stdout missing trace report: %q", buf.String())
 	}
-
-	// Multi-seed traces would interleave; the combination is rejected.
-	if err := run([]string{
-		"-racks", "2", "-hosts", "2", "-duration", "0.1", "-load", "0.4",
-		"-seeds", "2", "-trace", path,
-	}, &buf); err == nil {
-		t.Fatal("-trace with -seeds > 1 accepted")
-	}
 }

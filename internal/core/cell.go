@@ -5,6 +5,7 @@ import (
 
 	"basrpt/internal/fabricsim"
 	"basrpt/internal/faults"
+	"basrpt/internal/flow"
 	"basrpt/internal/runner"
 	"basrpt/internal/sched"
 	"basrpt/internal/workload"
@@ -151,4 +152,24 @@ func addFaultMetrics(sample runner.Sample, res *fabricsim.Result, schedule *faul
 		truncated = 1
 	}
 	sample["truncated"] = truncated
+}
+
+// fabricSample flattens the headline quantities of one fabric run — the
+// Table I FCT columns, throughput, and queue stability — into named
+// metrics.
+func fabricSample(res *fabricsim.Result, scale Scale) runner.Sample {
+	qAvg, qP99 := fctRow(res, flow.ClassQuery)
+	bAvg, bP99 := fctRow(res, flow.ClassBackground)
+	return runner.Sample{
+		"query_avg_ms":    qAvg,
+		"query_p99_ms":    qP99,
+		"bg_avg_ms":       bAvg,
+		"bg_p99_ms":       bP99,
+		"gbps":            res.AverageGbps(),
+		"departed_mb":     res.DepartedBytes / 1e6,
+		"maxport_tail_mb": res.MaxPortSeries.TailMean(0.3) / 1e6,
+		"queue_growth":    trendAfterWarmup(&res.MaxPortSeries, scale).GrowthRatio,
+		"completed_flows": float64(res.CompletedFlows),
+		"leftover_flows":  float64(res.LeftoverFlows),
+	}
 }

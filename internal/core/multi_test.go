@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"basrpt/internal/fabricsim"
@@ -12,43 +11,6 @@ import (
 
 func tinyScale() Scale {
 	return Scale{Racks: 2, HostsPerRack: 2, Duration: 0.4, Seed: 1}
-}
-
-// TestMultiFaultsParallel drives the fault-injection experiment through the
-// concurrent worker pool — with -race this is the proof that per-seed fault
-// schedules, injectors, and watchdogs share nothing across workers.
-func TestMultiFaultsParallel(t *testing.T) {
-	agg, err := RunMulti("faults", tinyScale(), 0, runner.Config{Seeds: 4, Parallel: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"srpt/query_avg_ms", "fast/gbps", "srpt/recovered"} {
-		m := agg.Metric(name)
-		if m == nil || m.N != 4 {
-			t.Fatalf("metric %s missing or short: %+v", name, m)
-		}
-	}
-}
-
-// TestMultiParallelAggregatesMatchSerial checks the determinism contract at
-// the experiment level: the same spec aggregated on 1 and 4 workers renders
-// byte-identically.
-func TestMultiParallelAggregatesMatchSerial(t *testing.T) {
-	cfg := runner.Config{Seeds: 3, RootSeed: 7}
-	cfg.Parallel = 1
-	serial, err := RunMulti("table1", tinyScale(), 0, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Parallel = 4
-	par, err := RunMulti("table1", tinyScale(), 0, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Render("x") != par.Render("x") {
-		t.Fatalf("parallel render differs from serial:\n%s\nvs\n%s",
-			par.Render("x"), serial.Render("x"))
-	}
 }
 
 // TestMultiWatchdogTruncationParallel runs watchdog-truncated simulations
@@ -109,32 +71,13 @@ func TestMultiWatchdogTruncationParallel(t *testing.T) {
 	}
 }
 
-// TestMultiSpecsCoverEveryExperiment pins the -exp ids that must have a
-// multi-seed form (and that the long-horizon stability showcase must not).
-func TestMultiSpecsCoverEveryExperiment(t *testing.T) {
-	for _, name := range []string{
-		"fig1", "fig2", "table1", "fig5", "fig6", "fig7", "fig8",
-		"theory", "dtmc", "ablation", "distributed", "incast", "noise", "faults",
-	} {
-		if MultiSpecFor(name) == nil {
-			t.Errorf("experiment %q has no multi-seed spec", name)
-		}
-	}
-	if MultiSpecFor("stability") != nil {
-		t.Error("stability should stay single-seed")
-	}
-	if _, err := RunMulti("stability", tinyScale(), 0, runner.Config{Seeds: 2}); err == nil ||
-		!strings.Contains(err.Error(), "no multi-seed form") {
-		t.Errorf("RunMulti(stability) error = %v", err)
-	}
-}
-
-// TestMultiFaultSeedVariesPerReplicate checks that the faults spec derives
-// the fault schedule from the replicate seed: two replicates must not see
-// the same schedule (the whole point of multi-seed resilience runs).
+// TestMultiFaultSeedVariesPerReplicate checks that RunFaults derives the
+// fault schedule from the replicate seed when no fault seed is pinned: two
+// replicates must not see the same schedule (the whole point of
+// multi-seed resilience runs).
 func TestMultiFaultSeedVariesPerReplicate(t *testing.T) {
-	s1 := DeriveSeedForTest(1, 0)
-	s2 := DeriveSeedForTest(1, 1)
+	s1 := runner.DeriveSeed(1, 0)
+	s2 := runner.DeriveSeed(1, 1)
 	r1, err := RunFaults(tinyScale(), 0, Run{Seed: s1})
 	if err != nil {
 		t.Fatal(err)
@@ -149,10 +92,4 @@ func TestMultiFaultSeedVariesPerReplicate(t *testing.T) {
 	if r1.Schedule.String() == r2.Schedule.String() {
 		t.Fatal("replicates drew identical fault schedules")
 	}
-}
-
-// DeriveSeedForTest re-exports runner.DeriveSeed so the test reads like the
-// harness code it mirrors.
-func DeriveSeedForTest(root uint64, stream int) uint64 {
-	return runner.DeriveSeed(root, stream)
 }

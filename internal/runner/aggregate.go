@@ -1,15 +1,6 @@
 package runner
 
-import (
-	"encoding/csv"
-	"fmt"
-	"io"
-	"strconv"
-	"time"
-
-	"basrpt/internal/stats"
-	"basrpt/internal/trace"
-)
+import "basrpt/internal/stats"
 
 // MetricAggregate summarizes one metric across the replicates that
 // reported it.
@@ -39,22 +30,15 @@ func (m *MetricAggregate) finalize() {
 }
 
 // Aggregate is the result of one multi-seed Run: per-metric dispersion
-// statistics plus the run's shape and timing.
+// statistics and the seed derivation that produced them.
 type Aggregate struct {
 	// RootSeed and Seeds record the derivation so any replicate can be
 	// replayed single-seed.
 	RootSeed uint64
 	Seeds    []uint64
-	// Parallel is the worker count the run used; Units the number of
-	// (replicate, task) executions.
-	Parallel int
-	Units    int
 	// Metrics is ordered by (task position, metric name) — deterministic
 	// across worker counts.
 	Metrics []MetricAggregate
-	// Elapsed is the pool's wall time (excluded from Render and WriteCSV
-	// so aggregate output stays byte-identical across worker counts).
-	Elapsed time.Duration
 }
 
 // Metric returns the aggregate for the fully qualified name, or nil.
@@ -65,61 +49,4 @@ func (a *Aggregate) Metric(name string) *MetricAggregate {
 		}
 	}
 	return nil
-}
-
-// RunsPerSec returns the executed units per wall second.
-func (a *Aggregate) RunsPerSec() float64 {
-	if a.Elapsed <= 0 {
-		return 0
-	}
-	return float64(a.Units) / a.Elapsed.Seconds()
-}
-
-// Render prints the aggregate as a fixed-width table. The output depends
-// only on the metric values and the seed derivation — never on timing or
-// worker count — so a parallel run renders byte-identically to a serial
-// one.
-func (a *Aggregate) Render(title string) string {
-	tbl := trace.Table{
-		Title:   fmt.Sprintf("%s — %d seeds (root %d)", title, len(a.Seeds), a.RootSeed),
-		Headers: []string{"metric", "mean", "±ci95", "stddev", "min", "max", "n"},
-	}
-	for i := range a.Metrics {
-		m := &a.Metrics[i]
-		tbl.AddRow(m.Name, formatG(m.Mean), formatG(m.CI95), formatG(m.StdDev),
-			formatG(m.Min), formatG(m.Max), strconv.Itoa(m.N))
-	}
-	return tbl.Render()
-}
-
-// WriteCSV exports the aggregate rows (same determinism contract as
-// Render).
-func (a *Aggregate) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"metric", "n", "mean", "ci95", "stddev", "min", "max"}); err != nil {
-		return fmt.Errorf("runner: write csv header: %w", err)
-	}
-	for i := range a.Metrics {
-		m := &a.Metrics[i]
-		rec := []string{
-			m.Name,
-			strconv.Itoa(m.N),
-			strconv.FormatFloat(m.Mean, 'g', -1, 64),
-			strconv.FormatFloat(m.CI95, 'g', -1, 64),
-			strconv.FormatFloat(m.StdDev, 'g', -1, 64),
-			strconv.FormatFloat(m.Min, 'g', -1, 64),
-			strconv.FormatFloat(m.Max, 'g', -1, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return fmt.Errorf("runner: write csv row: %w", err)
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// formatG renders a value compactly with enough precision for ±ci columns
-// to stay meaningful at small magnitudes.
-func formatG(v float64) string {
-	return strconv.FormatFloat(v, 'g', 5, 64)
 }

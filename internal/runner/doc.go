@@ -5,10 +5,11 @@
 // Every number in a single-seed experiment is one draw from the run
 // distribution; the tail percentiles the paper compares (query 99th FCT,
 // stable queue level) are exactly where one draw is noisiest. The runner
-// turns any experiment into a multi-seed study: Run derives one
-// deterministic seed per replicate from a root seed (DeriveSeed), executes
-// the replicates on up to GOMAXPROCS workers, and folds the named metrics
-// each task returns into an Aggregate.
+// is the pool behind internal/scenario, the repository's one way to run a
+// multi-seed experiment: Run derives one deterministic seed per replicate
+// from a root seed (DeriveSeed), executes the replicates on up to
+// GOMAXPROCS workers, and folds the named metrics each task returns into
+// an Aggregate.
 //
 // Concurrency contract: the simulators and schedulers in this repository
 // are deliberately not goroutine-safe (see internal/sched); the pool

@@ -326,16 +326,16 @@ func (s *Spec) Validate() error {
 		if c.Paired && c.Right == "" {
 			return specErrf(field("paired"), "paired checks compare two metrics, not a metric against a constant")
 		}
-		for _, ref := range []string{c.Left, c.Right} {
-			if ref == "" {
+		for _, op := range []struct{ name, ref string }{{"left", c.Left}, {"right", c.Right}} {
+			if op.ref == "" {
 				continue
 			}
-			cell, _, ok := splitMetricRef(ref)
+			cell, _, ok := splitMetricRef(op.ref)
 			if !ok {
-				return specErrf(field("left"), "metric reference %q is not \"cell/metric\"", ref)
+				return specErrf(field(op.name), "metric reference %q is not \"cell/metric\"", op.ref)
 			}
 			if !metricCells[cell] {
-				return specErrf(field("left"), "reference %q names no grid cell (cells: %v)", ref, s.CellNames())
+				return specErrf(field(op.name), "reference %q names no grid cell (cells: %v)", op.ref, s.CellNames())
 			}
 		}
 	}

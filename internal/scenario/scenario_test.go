@@ -154,6 +154,12 @@ func TestValidateRejections(t *testing.T) {
 		{"ref to unknown cell", func(m map[string]any) {
 			m["checks"] = []any{map[string]any{"name": "c", "left": "fifo/gbps", "op": "ge", "value": 0}}
 		}, "checks[0].left"},
+		{"right ref without slash", func(m map[string]any) {
+			m["checks"] = []any{map[string]any{"name": "c", "left": "srpt/gbps", "op": "ge", "right": "gbps"}}
+		}, "checks[0].right"},
+		{"right ref to unknown cell", func(m map[string]any) {
+			m["checks"] = []any{map[string]any{"name": "c", "left": "srpt/gbps", "op": "ge", "right": "nocell/gbps"}}
+		}, "checks[0].right"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

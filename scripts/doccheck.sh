@@ -5,7 +5,8 @@
 #   1. every internal package has a `// Package <name> ...` comment;
 #   2. every command under cmd/ has a `// Command <name> ...` comment;
 #   3. every exported top-level symbol in internal/scenario (the
-#      spec/findings API other tools consume), internal/obs (the
+#      spec/findings API other tools consume), internal/runner (the
+#      multi-seed worker pool behind it), internal/obs (the
 #      instrumentation API), internal/ops (the live-endpoint API), and
 #      internal/fabricsim (the engine API) carries a doc comment.
 #
@@ -42,7 +43,7 @@ done
 # documented: any top-level `func F`, method on any receiver, `type T`,
 # or `const`/`var` (single exported name or grouped block) must be
 # preceded by a comment.
-for f in internal/scenario/*.go internal/obs/*.go internal/ops/*.go internal/fabricsim/*.go; do
+for f in internal/scenario/*.go internal/runner/*.go internal/obs/*.go internal/ops/*.go internal/fabricsim/*.go; do
     case "$f" in *_test.go) continue ;; esac
     awk -v file="$f" '
         /^(func|type) [A-Z]/ || /^func \([^)]+\) [A-Z]/ || /^(const|var) ([A-Z]|\()/ {
@@ -60,4 +61,4 @@ if [ "$fail" -ne 0 ]; then
     echo "doccheck: FAIL" >&2
     exit 1
 fi
-echo "doccheck: OK (package comments, command comments, scenario/obs/ops/fabricsim exported symbols)"
+echo "doccheck: OK (package comments, command comments, scenario/runner/obs/ops/fabricsim exported symbols)"
