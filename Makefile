@@ -78,8 +78,8 @@ scenarios:
 
 # Documentation lint: package comments everywhere, command comments on
 # every cmd, and doc comments on every exported symbol of
-# internal/scenario, internal/runner, internal/obs, internal/ops and
-# internal/fabricsim.
+# internal/scenario, internal/runner, internal/obs, internal/ops,
+# internal/fabricsim and the root facade basrpt.go.
 doccheck:
 	bash scripts/doccheck.sh
 

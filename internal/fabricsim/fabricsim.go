@@ -288,7 +288,7 @@ type Result struct {
 	Diagnosis *Diagnosis
 
 	// ShardObs holds one deterministic-plane registry snapshot per PDES
-	// cell, in rack order, for decomposed (Shards >= 2) runs — per-cell
+	// cell, in rack order, for decomposed (RunShard) runs — per-cell
 	// decisions, windows advanced, inter-shard messages sent/delivered,
 	// eventq high-water — plus each cell's wall-clock busy/barrier-wait
 	// counters ("wall." names, excluded from digests via obs.IsWallClock).

@@ -15,7 +15,7 @@ import (
 // link is a convenient test link rate: 1000 bytes per second.
 const link = 8000.0
 
-func mustRun(t *testing.T, cfg Config) *Result {
+func mustRun(t testing.TB, cfg Config) *Result {
 	t.Helper()
 	sim, err := New(cfg)
 	if err != nil {

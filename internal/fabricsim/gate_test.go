@@ -177,7 +177,7 @@ func TestObsDisabledOverhead(t *testing.T) {
 //	go test -run NONE -bench ShardScaling -benchtime 1x ./internal/fabricsim/
 //
 // It runs the centralized engine and the rack-decomposed engine at 2 and 4
-// shards, timing each whole RunShard call (construction included). The
+// shards, timing each whole run (construction included). The
 // centralized arm's O(hosts²) matching makes it ~100x slower in wall time
 // than every decomposed arm combined, so it runs a quarter of the horizon:
 // decisions/sec converges well within it. The decomposed arms run the full
@@ -193,16 +193,23 @@ func BenchmarkShardScaling(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	// shards 1 is the centralized engine.
 	arm := func(shards int, dur float64) (decPerSec float64, digest string) {
-		start := time.Now()
-		res, err := RunShard(ShardConfig{
+		cfg := ShardConfig{
 			Topology: topo, Scheduler: "fast-basrpt",
 			Load: load, Duration: dur, Seed: 1, Shards: shards,
-		})
-		wall := time.Since(start).Seconds()
-		if err != nil {
-			b.Fatalf("shards=%d: %v", shards, err)
 		}
+		start := time.Now()
+		var res *Result
+		if shards == 1 {
+			res = runCentral(b, cfg, nil)
+		} else {
+			var err error
+			if res, err = RunShard(cfg); err != nil {
+				b.Fatalf("shards=%d: %v", shards, err)
+			}
+		}
+		wall := time.Since(start).Seconds()
 		if res.Decisions == 0 {
 			b.Fatalf("shards=%d: run took no decisions", shards)
 		}

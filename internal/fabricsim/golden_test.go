@@ -35,10 +35,9 @@ func sha256Hex(tr string) string {
 }
 
 // TestEngineGoldenDigests pins the deterministic digests and JSONL trace
-// hashes of both engine families to fixed values: a centralized 12x12
-// fast-BASRPT run built directly and through RunShard(Shards: 1), the
-// E17 decomposed configuration (344x12 hosts, load 0.5, 2 ms, seed 1,
-// 4 shards), and the base configuration of TestRunShardBatchInvariance.
+// hashes of both engines to fixed values: a centralized 12x12
+// fast-BASRPT run built directly through New, the E17 decomposed
+// configuration (344x12 hosts, load 0.5, 2 ms, seed 1, 4 shards), and the base configuration of TestRunShardBatchInvariance.
 // The centralized run's first checkpoint bytes and the decomposed run's
 // per-cell registry snapshots (wall-clock entries masked) are pinned
 // too, so neither the checkpoint payload nor the per-cell instrument set
@@ -87,36 +86,24 @@ func TestEngineGoldenDigests(t *testing.T) {
 		if err := ew.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		sharded, shardedTrace := runShardTraced(t, ShardConfig{
-			Topology: topo, Scheduler: "fast-basrpt", Load: load,
-			Duration: dur, Seed: seed, Shards: 1,
-		})
-		for _, arm := range []struct {
-			name          string
-			digest, trace string
-		}{
-			{"direct", direct.DeterministicDigest(), sha256Hex(buf.String())},
-			{"RunShard(Shards: 1)", sharded.DeterministicDigest(), sha256Hex(shardedTrace)},
-		} {
-			if arm.digest != goldenCentralDigest {
-				t.Errorf("%s digest %s, want %s", arm.name, arm.digest, goldenCentralDigest)
-			}
-			if arm.trace != goldenCentralTrace {
-				t.Errorf("%s trace sha256 %s, want %s", arm.name, arm.trace, goldenCentralTrace)
-			}
+		if got := direct.DeterministicDigest(); got != goldenCentralDigest {
+			t.Errorf("digest %s, want %s", got, goldenCentralDigest)
+		}
+		if got := sha256Hex(buf.String()); got != goldenCentralTrace {
+			t.Errorf("trace sha256 %s, want %s", got, goldenCentralTrace)
 		}
 
 		var ckpt []byte
-		if _, err := RunShard(ShardConfig{
+		runCentral(t, ShardConfig{
 			Topology: topo, Scheduler: "fast-basrpt", Load: load,
-			Duration: dur, Seed: seed, Shards: 1, CheckpointEvery: dur / 2,
-			CheckpointSink: func(data []byte, _ float64) error {
+			Duration: dur, Seed: seed,
+		}, func(c *Config) {
+			c.CheckpointEvery = dur / 2
+			c.CheckpointSink = func(data []byte, _ float64) error {
 				ckpt = data
 				return ErrStopAfterCheckpoint
-			},
-		}); err != nil {
-			t.Fatal(err)
-		}
+			}
+		})
 		if got := sha256Hex(string(ckpt)); got != goldenCentralCkpt {
 			t.Errorf("checkpoint sha256 %s, want %s", got, goldenCentralCkpt)
 		}

@@ -21,13 +21,6 @@ import (
 // ErrShardConfig reports an invalid sharded-run configuration.
 var ErrShardConfig = errors.New("fabricsim: invalid shard configuration")
 
-// ErrShardUnsupported reports a ShardConfig feature the decomposed
-// (Shards >= 2) executor does not implement. Checkpointing is the one
-// such feature: its documented path is to run the same configuration at
-// Shards == 1, where the centralized engine's full checkpoint/restore
-// machinery (Checkpoint, Resume, CheckpointSink) applies unchanged.
-var ErrShardUnsupported = errors.New("fabricsim: unsupported in decomposed mode")
-
 // DefaultBarrierEvery is the decomposed engine's default window batch:
 // how many consecutive lookahead windows every cell advances through
 // between coordinator barriers when ShardConfig.BarrierEvery is zero.
@@ -37,38 +30,32 @@ var ErrShardUnsupported = errors.New("fabricsim: unsupported in decomposed mode"
 // clock — see the prefetch contract on shardCell.prefetch).
 const DefaultBarrierEvery = 8
 
-// DefaultRepackEvery is the default imbalance-repack period in barriers:
-// how often the worker pool re-packs cells onto workers by measured busy
-// time when ShardConfig.RepackEvery is zero. The schedule is keyed on
-// the barrier index — never on wall clock — so repacking changes which
-// goroutine runs a cell but never what the cell computes.
-const DefaultRepackEvery = 16
+// repackEvery is the imbalance-repack period in barriers: every 16
+// barriers the worker pool re-packs cells onto workers by measured busy
+// time. The schedule is keyed on the barrier index — never on wall
+// clock — so repacking changes which goroutine runs a cell but never
+// what the cell computes.
+const repackEvery = 16
 
-// ShardConfig parameterizes a sharded fabric run. It is the topology-
-// aware sibling of Config: instead of receiving pre-built scheduler and
-// generator instances, it receives the recipe (registry name, options,
-// workload parameters) so the executor can instantiate one copy per
-// shard cell.
+// ShardConfig parameterizes a run of the rack-decomposed engine
+// (RunShard). It is the topology-aware sibling of Config: instead of
+// receiving pre-built scheduler and generator instances, it receives the
+// recipe (registry name, options, workload parameters) so the executor
+// can instantiate one copy per rack cell.
 //
-// Determinism comes in two families, both byte-stable across machines
-// and GOMAXPROCS settings:
+// The engine is a conservative PDES: one event-loop kernel per rack,
+// cross-rack arrivals delivered after the topology's CoreHopLatency
+// lookahead. Results are byte-stable across machines and GOMAXPROCS
+// settings, and byte-identical across ALL shard counts >= 2, ALL
+// BarrierEvery batch sizes, and ALL Workers counts — those knobs only
+// choose how rack cells are grouped onto worker goroutines and how often
+// the goroutines synchronize, never the physics.
 //
-//   - Shards == 1 runs the centralized engine — one event-loop kernel
-//     over every host, one fabric-wide workload stream — and is
-//     byte-identical to building the same Sim by hand.
-//   - Shards >= 2 runs the decomposed conservative-PDES engine: one
-//     kernel per rack, cross-rack arrivals delivered after the topology's
-//     CoreHopLatency lookahead. Results are byte-identical across ALL
-//     shard counts >= 2, ALL BarrierEvery batch sizes, ALL Workers
-//     counts, and ALL RepackEvery schedules — those knobs only choose
-//     how rack cells are grouped onto worker goroutines and how often
-//     the goroutines synchronize, never the physics.
-//
-// The two families are not byte-identical to each other: decomposition
-// replaces the fabric-global crossbar matching with per-rack matchings
-// (uplink traffic enters the destination rack through core-proxy
-// ingress ports), which is the modeling change that makes 4k+ host
-// fabrics tractable.
+// The decomposed engine is not byte-identical to the centralized one
+// (New + Run): decomposition replaces the fabric-global crossbar
+// matching with per-rack matchings (uplink traffic enters the
+// destination rack through core-proxy ingress ports), which is the
+// modeling change that makes 4k+ host fabrics tractable.
 type ShardConfig struct {
 	// Topology shapes the fabric: rack boundaries are the decomposition
 	// units and CoreHopLatency is the conservative lookahead.
@@ -76,8 +63,8 @@ type ShardConfig struct {
 	// Scheduler is the sched registry name (see sched.Names).
 	Scheduler string
 	// SchedOpts carries the discipline parameters. A zero Seed inherits
-	// the run Seed; in decomposed mode each cell's scheduler derives a
-	// private seed from it so RNG disciplines stay grouping-invariant.
+	// the run Seed; each cell's scheduler derives a private seed from it
+	// so RNG disciplines stay grouping-invariant.
 	SchedOpts sched.Options
 	// Load is the per-port offered load in (0, 1).
 	Load float64
@@ -97,64 +84,41 @@ type ShardConfig struct {
 	// Seed drives the workload (and, via derivation, every per-cell
 	// stream). Must be nonzero.
 	Seed uint64
-	// Shards selects the engine family: 1 is the centralized engine,
-	// >= 2 the decomposed engine. In decomposed mode it also bounds the
-	// worker pool: the engine runs min(Shards, racks, Workers) persistent
-	// worker goroutines (Workers defaulting to GOMAXPROCS).
+	// Shards must be >= 2 (the centralized engine is New + Run). It
+	// bounds the worker pool: the engine runs at most
+	// min(Shards, racks, Workers) persistent worker goroutines.
 	Shards int
-	// BarrierEvery is the decomposed engine's window batch: cells advance
-	// through this many consecutive lookahead windows between coordinator
-	// barriers. 0 selects DefaultBarrierEvery; 1 reproduces the dense
-	// per-window barrier schedule. Results are byte-identical for every
-	// value >= 1 (wall clock only). Ignored at Shards == 1.
+	// BarrierEvery is the window batch: cells advance through this many
+	// consecutive lookahead windows between coordinator barriers. 0
+	// selects DefaultBarrierEvery; 1 reproduces the dense per-window
+	// barrier schedule. Results are byte-identical for every value >= 1
+	// (wall clock only).
 	BarrierEvery int
-	// Workers caps the decomposed engine's persistent worker goroutines;
-	// 0 defaults to GOMAXPROCS. The effective pool size is
-	// min(Shards, racks, Workers). Wall-clock plane only. Ignored at
-	// Shards == 1.
+	// Workers caps the persistent worker goroutines; 0 defaults to
+	// GOMAXPROCS. The effective pool size is at most
+	// min(Shards, racks, Workers). Wall-clock plane only.
 	Workers int
-	// RepackEvery is the imbalance-repack period in barriers: every
-	// RepackEvery barriers the pool re-packs cells onto workers by
-	// cumulative measured busy time (greedy longest-processing-time).
-	// 0 selects DefaultRepackEvery; negative disables repacking. The
-	// schedule is keyed on the barrier index, so physics are untouched.
-	// Ignored at Shards == 1.
-	RepackEvery int
-	// Obs, when non-nil, receives the run's trace. In decomposed mode
-	// per-cell events are buffered during each batch and replayed
-	// window-by-window in deterministic (time, cell, sequence) merge
-	// order at the barrier, so traced runs stay byte-identical across
-	// shard counts and batch sizes.
+	// Obs, when non-nil, receives the run's trace. Per-cell events are
+	// buffered during each batch and replayed window-by-window in
+	// deterministic (time, cell, sequence) merge order at the barrier,
+	// so traced runs stay byte-identical across shard counts and batch
+	// sizes.
 	Obs *obs.Obs
 	// ValidateDecisions re-checks the crossbar constraint on every
-	// decision (per cell in decomposed mode).
+	// decision of every cell.
 	ValidateDecisions bool
-	// CheckpointEvery / CheckpointSink configure periodic checkpoints.
-	// Supported only at Shards == 1; the decomposed engine returns
-	// ErrShardUnsupported (see that error for the merge-to-1-shard
-	// path).
-	CheckpointEvery float64
-	// CheckpointSink receives each checkpoint; see Config.CheckpointSink.
-	CheckpointSink func(data []byte, simTime float64) error
-	// Timeline, when non-nil, records wall-clock spans for the decomposed
-	// engine — per cell one "window" span per lookahead window plus one
-	// "batch" and one "barrier" span per barrier, and coordinator
-	// "fold"/"route" spans per barrier — for Chrome trace_event export
+	// Timeline, when non-nil, records wall-clock spans — per cell one
+	// "window" span per lookahead window plus one "batch" and one
+	// "barrier" span per barrier, and coordinator "fold"/"route" spans
+	// per barrier — for Chrome trace_event export
 	// (obs.Timeline.WriteChromeTrace). Span ORDER is deterministic (rack
 	// order within each barrier); span times are wall-clock measurements.
-	// Ignored at Shards == 1.
 	Timeline *obs.Timeline
 	// OnWindow, when non-nil, is called on the coordinating goroutine
-	// after every decomposed barrier with the run's live position — the
-	// sharded engine's heartbeat for ops endpoints. Wall-clock plane
-	// only: results are byte-identical whether or not it is set. Ignored
-	// at Shards == 1 (use Config.OnProgress through the centralized path
-	// instead).
+	// after every barrier with the run's live position — the engine's
+	// heartbeat for ops endpoints. Wall-clock plane only: results are
+	// byte-identical whether or not it is set.
 	OnWindow func(ShardProgress)
-	// OnProgress, when non-nil, is forwarded to the centralized engine's
-	// sample-tick heartbeat (Config.OnProgress). Wall-clock plane only.
-	// Ignored at Shards >= 2 (use OnWindow there).
-	OnProgress func(RunProgress)
 }
 
 // ShardProgress is the live heartbeat handed to ShardConfig.OnWindow
@@ -268,18 +232,12 @@ func (im *ShardImbalance) String() string {
 // them is grouping-invariant.
 const cellIDShift = 40
 
-// RunShard executes one sharded fabric run. See ShardConfig for the
-// engine families and their determinism contract.
+// RunShard executes one run of the rack-decomposed engine. See
+// ShardConfig for its determinism contract.
 func RunShard(cfg ShardConfig) (*Result, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Shards == 1 {
-		return runCentralized(cfg)
-	}
-	if cfg.CheckpointEvery > 0 || cfg.CheckpointSink != nil {
-		return nil, fmt.Errorf("%w: checkpointing requires Shards == 1", ErrShardUnsupported)
 	}
 	cells, err := newShardCells(cfg)
 	if err != nil {
@@ -289,13 +247,13 @@ func RunShard(cfg ShardConfig) (*Result, error) {
 }
 
 // withDefaults validates the configuration and fills the defaulted
-// fields both engine families read.
+// fields.
 func (cfg ShardConfig) withDefaults() (ShardConfig, error) {
 	if cfg.Topology == nil {
 		return cfg, fmt.Errorf("%w: nil topology", ErrShardConfig)
 	}
-	if cfg.Shards < 1 {
-		return cfg, fmt.Errorf("%w: shards %d < 1", ErrShardConfig, cfg.Shards)
+	if cfg.Shards < 2 {
+		return cfg, fmt.Errorf("%w: shards %d < 2 (the centralized engine is New + Run)", ErrShardConfig, cfg.Shards)
 	}
 	if cfg.Duration <= 0 {
 		return cfg, fmt.Errorf("%w: duration %g <= 0", ErrShardConfig, cfg.Duration)
@@ -328,36 +286,6 @@ func (cfg ShardConfig) withDefaults() (ShardConfig, error) {
 		cfg.ThroughputBucket = cfg.Duration / 50
 	}
 	return cfg, nil
-}
-
-// runCentralized is the Shards == 1 family: the same construction a
-// direct fabricsim.New caller performs, so results (digest and trace
-// alike) are byte-identical to that caller's.
-func runCentralized(cfg ShardConfig) (*Result, error) {
-	scheduler, gen, err := cfg.newParts(cfg.SchedOpts.Seed, cfg.Seed, 0, 0)
-	if err != nil {
-		return nil, err
-	}
-	sim, err := New(Config{
-		Hosts:             cfg.Topology.NumHosts(),
-		LinkBps:           cfg.Topology.HostLinkBps(),
-		Scheduler:         scheduler,
-		Generator:         gen,
-		Duration:          cfg.Duration,
-		SampleInterval:    cfg.SampleInterval,
-		MonitorPort:       cfg.MonitorPort,
-		ThroughputBucket:  cfg.ThroughputBucket,
-		ValidateDecisions: cfg.ValidateDecisions,
-		Seed:              cfg.Seed,
-		Obs:               cfg.Obs,
-		CheckpointEvery:   cfg.CheckpointEvery,
-		CheckpointSink:    cfg.CheckpointSink,
-		OnProgress:        cfg.OnProgress,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return sim.Run()
 }
 
 // shardMsg is a cross-rack flow arrival in flight between cells. Ports
@@ -816,31 +744,6 @@ func (p *shardPool) repack() {
 	}
 }
 
-// newParts builds one kernel's scheduler, seeded with schedSeed, and its
-// workload stream, seeded with genSeed and restricted to sources in
-// [srcLo, srcHi) (both zero: every host).
-func (cfg ShardConfig) newParts(schedSeed, genSeed uint64, srcLo, srcHi int) (sched.Scheduler, *workload.Mixed, error) {
-	opts := cfg.SchedOpts
-	opts.Seed = schedSeed
-	scheduler, err := sched.New(cfg.Scheduler, opts)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrShardConfig, err)
-	}
-	gen, err := workload.NewMixed(workload.MixedConfig{
-		Topology:          cfg.Topology,
-		Load:              cfg.Load,
-		QueryByteFraction: cfg.QueryByteFraction,
-		Duration:          cfg.Duration,
-		Seed:              genSeed,
-		SrcLo:             srcLo,
-		SrcHi:             srcHi,
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrShardConfig, err)
-	}
-	return scheduler, gen, nil
-}
-
 // newShardCells builds the decomposed engine's cells, one per rack: a
 // kernel over the rack's hosts plus one core-proxy ingress port per core
 // switch, with per-rack derived scheduler and workload seeds (so RNG
@@ -852,10 +755,23 @@ func newShardCells(cfg ShardConfig) ([]*shardCell, error) {
 	hpr := tc.HostsPerRack
 	cells := make([]*shardCell, tc.Racks)
 	for r := range cells {
-		scheduler, gen, err := cfg.newParts(runner.DeriveSeed(cfg.SchedOpts.Seed, r),
-			runner.DeriveSeed(cfg.Seed, r), r*hpr, (r+1)*hpr)
+		opts := cfg.SchedOpts
+		opts.Seed = runner.DeriveSeed(cfg.SchedOpts.Seed, r)
+		scheduler, err := sched.New(cfg.Scheduler, opts)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w: %v", ErrShardConfig, err)
+		}
+		gen, err := workload.NewMixed(workload.MixedConfig{
+			Topology:          topo,
+			Load:              cfg.Load,
+			QueryByteFraction: cfg.QueryByteFraction,
+			Duration:          cfg.Duration,
+			Seed:              runner.DeriveSeed(cfg.Seed, r),
+			SrcLo:             r * hpr,
+			SrcHi:             (r + 1) * hpr,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrShardConfig, err)
 		}
 		c := &shardCell{
 			base:    r * hpr,
@@ -900,14 +816,14 @@ func newShardCells(cfg ShardConfig) ([]*shardCell, error) {
 	return cells, nil
 }
 
-// runDecomposed is the Shards >= 2 family's coordinator: the cells
+// runDecomposed is the engine's coordinator: the cells
 // advance in lockstep lookahead windows, batched BarrierEvery windows per
 // coordinator barrier, executed by a persistent worker pool. Every
 // barrier-side fold (message routing, window-by-window trace replay,
 // series and metric merges) runs on the calling goroutine in rack
 // order, so results are a pure function of the configuration —
 // independent of shard count, batch size, worker count, repack
-// schedule, and GOMAXPROCS.
+// placement, and GOMAXPROCS.
 func runDecomposed(cfg ShardConfig, cells []*shardCell) (*Result, error) {
 	look := cfg.Topology.CoreHopLatency()
 	numCells := len(cells)
@@ -916,10 +832,6 @@ func runDecomposed(cfg ShardConfig, cells []*shardCell) (*Result, error) {
 	batch := cfg.BarrierEvery
 	if batch == 0 {
 		batch = DefaultBarrierEvery
-	}
-	repackEvery := cfg.RepackEvery
-	if repackEvery == 0 {
-		repackEvery = DefaultRepackEvery
 	}
 	workers := cfg.Workers
 	if workers == 0 {
@@ -947,7 +859,7 @@ func runDecomposed(cfg ShardConfig, cells []*shardCell) (*Result, error) {
 	capTs := make([]float64, 0, batch)
 	windows := 0
 	for b := 0; ; b++ {
-		if repackEvery > 0 && b > 0 && b%repackEvery == 0 {
+		if b > 0 && b%repackEvery == 0 {
 			pool.repack()
 		}
 		capTs = capTs[:0]

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"basrpt/internal/flow"
@@ -50,71 +51,43 @@ func runShardTraced(t *testing.T, cfg ShardConfig) (*Result, string) {
 	return res, buf.String()
 }
 
-// TestRunShardOneShardMatchesDirectSim is the refactor's equivalence
-// proof: the Shards == 1 facade must be byte-identical — digest and
-// JSONL trace alike — to building the centralized Sim by hand exactly
-// as pre-refactor callers did.
-func TestRunShardOneShardMatchesDirectSim(t *testing.T) {
-	topo := shardTopo(t, 3, 4)
-	const (
-		load = 0.8
-		dur  = 0.05
-		seed = 7
-	)
-
-	// The pre-refactor construction: explicit scheduler, fabric-wide
-	// generator, direct fabricsim.New.
-	var directBuf bytes.Buffer
-	ew, err := trace.NewEventWriter(&directBuf, trace.TraceHeader{
-		Seed: seed, Scheduler: "fast-basrpt", Hosts: topo.NumHosts(),
-		Load: load, DurationSec: dur,
-	})
+// runCentral runs the centralized engine (New + Run) on cfg's recipe —
+// one fabric-wide scheduler and workload stream, built as a direct New
+// caller builds them — with mutate, when non-nil, applied to the Config
+// first. It is the centralized arm of the tests that set the two engines
+// side by side; cfg.Shards and the pool knobs are ignored.
+func runCentral(t testing.TB, cfg ShardConfig, mutate func(*Config)) *Result {
+	t.Helper()
+	opts := cfg.SchedOpts
+	if opts.Seed == 0 {
+		opts.Seed = cfg.Seed
+	}
+	scheduler, err := sched.New(cfg.Scheduler, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scheduler, err := sched.New("fast-basrpt", sched.Options{Seed: seed})
-	if err != nil {
-		t.Fatal(err)
+	qfrac := cfg.QueryByteFraction
+	if qfrac == 0 {
+		qfrac = workload.DefaultQueryByteFraction
 	}
 	gen, err := workload.NewMixed(workload.MixedConfig{
-		Topology: topo, Load: load,
-		QueryByteFraction: workload.DefaultQueryByteFraction,
-		Duration:          dur, Seed: seed,
+		Topology: cfg.Topology, Load: cfg.Load, QueryByteFraction: qfrac,
+		Duration: cfg.Duration, Seed: cfg.Seed,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := New(Config{
-		Hosts: topo.NumHosts(), LinkBps: topo.HostLinkBps(),
-		Scheduler: scheduler, Generator: gen, Duration: dur, Seed: seed,
-		Obs: obs.New(obs.Options{Sink: ew}),
-	})
-	if err != nil {
-		t.Fatal(err)
+	c := Config{
+		Hosts: cfg.Topology.NumHosts(), LinkBps: cfg.Topology.HostLinkBps(),
+		Scheduler: scheduler, Generator: gen, Duration: cfg.Duration,
+		SampleInterval: cfg.SampleInterval, ThroughputBucket: cfg.ThroughputBucket,
+		MonitorPort: cfg.MonitorPort, ValidateDecisions: cfg.ValidateDecisions,
+		Seed: cfg.Seed, Obs: cfg.Obs,
 	}
-	direct, err := sim.Run()
-	if err != nil {
-		t.Fatal(err)
+	if mutate != nil {
+		mutate(&c)
 	}
-	if err := ew.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	sharded, shardedTrace := runShardTraced(t, ShardConfig{
-		Topology: topo, Scheduler: "fast-basrpt", Load: load,
-		Duration: dur, Seed: seed, Shards: 1,
-	})
-
-	if direct.CompletedFlows == 0 {
-		t.Fatal("direct run completed no flows; equivalence check is vacuous")
-	}
-	if d, s := direct.DeterministicDigest(), sharded.DeterministicDigest(); d != s {
-		t.Fatalf("one-shard digest diverged from direct sim:\n direct  %s\n sharded %s", d, s)
-	}
-	if directBuf.String() != shardedTrace {
-		t.Fatalf("one-shard trace diverged from direct sim (%d vs %d bytes)",
-			directBuf.Len(), len(shardedTrace))
-	}
+	return mustRun(t, c)
 }
 
 // TestRunShardDecomposedDeterminism pins the second determinism family:
@@ -158,17 +131,21 @@ func TestRunShardDecomposedDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunShardFamiliesDiffer runs one configuration at 1, 2 and 4
-// shards: the decomposed arms (2 and 4) share a digest, while the
-// centralized arm (1) is the other family — fabric-wide matching, not
-// per-rack — and must yield another digest.
+// TestRunShardFamiliesDiffer runs one configuration on the centralized
+// engine and at 2 and 4 shards: the decomposed arms share a digest,
+// while the centralized arm — fabric-wide matching, not per-rack — must
+// yield another digest.
 func TestRunShardFamiliesDiffer(t *testing.T) {
 	base := ShardConfig{
 		Topology: shardTopo(t, 3, 4), Scheduler: "fast-basrpt", Load: 0.6,
 		Duration: 0.01, Seed: 1,
 	}
+	central := runCentral(t, base, nil)
+	if central.Decisions == 0 {
+		t.Fatal("centralized run made no scheduling decisions; the digest check is vacuous")
+	}
 	digests := make(map[int]string)
-	for _, shards := range []int{1, 2, 4} {
+	for _, shards := range []int{2, 4} {
 		cfg := base
 		cfg.Shards = shards
 		res, err := RunShard(cfg)
@@ -183,8 +160,8 @@ func TestRunShardFamiliesDiffer(t *testing.T) {
 	if digests[2] != digests[4] {
 		t.Fatalf("decomposed digests diverged: %s vs %s", digests[2], digests[4])
 	}
-	if digests[1] == digests[2] {
-		t.Fatal("centralized and decomposed digests identical; the families model different physics")
+	if central.DeterministicDigest() == digests[2] {
+		t.Fatal("centralized and decomposed digests identical; the engines model different physics")
 	}
 }
 
@@ -253,94 +230,18 @@ func TestRunShardDecomposedConservation(t *testing.T) {
 	}
 }
 
-// TestRunShardDecomposedCheckpointUnsupported pins the documented
-// checkpoint story: the decomposed engine rejects checkpointing with
-// ErrShardUnsupported, directing callers to the Shards == 1 path.
-func TestRunShardDecomposedCheckpointUnsupported(t *testing.T) {
-	topo := shardTopo(t, 2, 4)
-	_, err := RunShard(ShardConfig{
-		Topology: topo, Scheduler: "srpt", Load: 0.5, Duration: 0.01,
-		Seed: 1, Shards: 2, CheckpointEvery: 0.001,
-		CheckpointSink: func([]byte, float64) error { return nil },
-	})
-	if !errors.Is(err, ErrShardUnsupported) {
-		t.Fatalf("decomposed checkpointing accepted or wrong error: %v", err)
-	}
-}
-
-// TestRunShardOneShardCheckpointRoundTrip proves sharded runs
-// checkpoint through the merge-to-1-shard path: a RunShard(Shards=1)
-// run halted at a checkpoint resumes — via the centralized engine's
-// Resume — to the same digest as the uninterrupted run.
-func TestRunShardOneShardCheckpointRoundTrip(t *testing.T) {
-	topo := shardTopo(t, 3, 4)
-	base := ShardConfig{
-		Topology: topo, Scheduler: "srpt", Load: 0.7,
-		Duration: 0.04, Seed: 9, Shards: 1,
-	}
-	full, err := RunShard(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var ckpt []byte
-	halted := base
-	halted.CheckpointEvery = 0.01
-	halted.CheckpointSink = func(data []byte, simTime float64) error {
-		ckpt = data
-		return ErrStopAfterCheckpoint
-	}
-	partial, err := RunShard(halted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if partial.Diagnosis == nil || partial.Diagnosis.Reason != "checkpoint-stop" {
-		t.Fatalf("halted run diagnosis = %+v", partial.Diagnosis)
-	}
-	if len(ckpt) == 0 {
-		t.Fatal("checkpoint sink captured nothing")
-	}
-
-	// Rebuild the identical centralized configuration and resume.
-	scheduler, err := sched.New("srpt", sched.Options{Seed: base.Seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := workload.NewMixed(workload.MixedConfig{
-		Topology: topo, Load: base.Load,
-		QueryByteFraction: workload.DefaultQueryByteFraction,
-		Duration:          base.Duration, Seed: base.Seed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := Resume(Config{
-		Hosts: topo.NumHosts(), LinkBps: topo.HostLinkBps(),
-		Scheduler: scheduler, Generator: gen,
-		Duration: base.Duration, Seed: base.Seed,
-	}, ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := sim.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r, f := resumed.DeterministicDigest(), full.DeterministicDigest(); r != f {
-		t.Fatalf("resumed digest %s != uninterrupted digest %s", r, f)
-	}
-}
-
 // TestRunShardConfigValidation exercises the typed rejection of every
-// malformed ShardConfig dimension.
+// malformed ShardConfig dimension, one shard (the centralized engine's
+// job) included.
 func TestRunShardConfigValidation(t *testing.T) {
 	topo := shardTopo(t, 2, 4)
-	ok := ShardConfig{Topology: topo, Scheduler: "srpt", Load: 0.5, Duration: 0.01, Seed: 1, Shards: 1}
+	ok := ShardConfig{Topology: topo, Scheduler: "srpt", Load: 0.5, Duration: 0.01, Seed: 1, Shards: 2}
 	cases := []struct {
 		name   string
 		mutate func(*ShardConfig)
 	}{
 		{"nil topology", func(c *ShardConfig) { c.Topology = nil }},
+		{"one shard", func(c *ShardConfig) { c.Shards = 1 }},
 		{"zero shards", func(c *ShardConfig) { c.Shards = 0 }},
 		{"negative shards", func(c *ShardConfig) { c.Shards = -2 }},
 		{"zero duration", func(c *ShardConfig) { c.Duration = 0 }},
@@ -355,13 +256,11 @@ func TestRunShardConfigValidation(t *testing.T) {
 		if _, err := RunShard(cfg); !errors.Is(err, ErrShardConfig) {
 			t.Errorf("%s: accepted or wrong error: %v", tc.name, err)
 		}
-		// The decomposed engine applies the same validation.
-		if cfg.Shards == 1 {
-			cfg.Shards = 2
-			if _, err := RunShard(cfg); !errors.Is(err, ErrShardConfig) {
-				t.Errorf("%s (decomposed): accepted or wrong error: %v", tc.name, err)
-			}
-		}
+	}
+	one := ok
+	one.Shards = 1
+	if _, err := RunShard(one); err == nil || !strings.Contains(err.Error(), "New") {
+		t.Errorf("one-shard rejection does not point to New: %v", err)
 	}
 	if _, err := RunShard(ok); err != nil {
 		t.Fatalf("valid config rejected: %v", err)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"basrpt/internal/obs"
-	"basrpt/internal/topology"
 )
 
 // shardObsConfig is the small decomposed fixture the per-cell
@@ -236,13 +235,9 @@ func TestShardImbalanceReport(t *testing.T) {
 		t.Fatal("empty imbalance rendering")
 	}
 
-	// The centralized family reports neither per-cell snapshots nor an
+	// The centralized engine reports neither per-cell snapshots nor an
 	// imbalance — its artifacts must stay byte-identical to pre-PR runs.
-	cfg := shardObsConfig(t, 1)
-	cres, err := RunShard(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cres := runCentral(t, shardObsConfig(t, 0), nil)
 	if cres.Imbalance != nil || cres.ShardObs != nil {
 		t.Fatal("centralized run grew decomposed-only observability fields")
 	}
@@ -299,28 +294,15 @@ func TestShardOnWindowHeartbeat(t *testing.T) {
 // sample-tick heartbeat and that enabling it changes nothing
 // deterministic.
 func TestCentralizedOnProgressHeartbeat(t *testing.T) {
-	topo, err := topology.New(topology.Scaled(2, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
 	base := ShardConfig{
-		Topology: topo, Scheduler: "fast-basrpt", Load: 0.7,
-		Duration: 0.05, Seed: 7, Shards: 1,
+		Topology: shardTopo(t, 2, 3), Scheduler: "fast-basrpt", Load: 0.7,
+		Duration: 0.05, Seed: 7,
 	}
-	plain, err := RunShard(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The heartbeat rides ShardConfig.OnProgress through the centralized
-	// construction path.
+	plain := runCentral(t, base, nil)
 	var beats []RunProgress
-	cfg := base
-	cfg.OnProgress = func(p RunProgress) { beats = append(beats, p) }
-	res2, err := RunShard(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res2 := runCentral(t, base, func(c *Config) {
+		c.OnProgress = func(p RunProgress) { beats = append(beats, p) }
+	})
 	if len(beats) == 0 {
 		t.Fatal("no heartbeats at sample ticks")
 	}

@@ -1,8 +1,7 @@
 // Package stats provides the deterministic statistics substrate used by the
 // whole repository: a seedable random number generator, samplers for the
 // distributions that appear in the paper's workloads, summary statistics,
-// percentile estimation, linear regression for queue-trend detection, and
-// histograms.
+// percentile estimation, and linear regression for queue-trend detection.
 //
 // Everything here is deliberately dependency-free and deterministic given a
 // seed, so that simulations and tests are reproducible bit-for-bit.

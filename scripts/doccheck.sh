@@ -7,8 +7,9 @@
 #   3. every exported top-level symbol in internal/scenario (the
 #      spec/findings API other tools consume), internal/runner (the
 #      multi-seed worker pool behind it), internal/obs (the
-#      instrumentation API), internal/ops (the live-endpoint API), and
-#      internal/fabricsim (the engine API) carries a doc comment.
+#      instrumentation API), internal/ops (the live-endpoint API),
+#      internal/fabricsim (the engine API), and the root facade basrpt.go
+#      (the public API) carries a doc comment.
 #
 # Stdlib tooling only: grep + awk over non-test Go sources.
 set -euo pipefail
@@ -43,7 +44,7 @@ done
 # documented: any top-level `func F`, method on any receiver, `type T`,
 # or `const`/`var` (single exported name or grouped block) must be
 # preceded by a comment.
-for f in internal/scenario/*.go internal/runner/*.go internal/obs/*.go internal/ops/*.go internal/fabricsim/*.go; do
+for f in internal/scenario/*.go internal/runner/*.go internal/obs/*.go internal/ops/*.go internal/fabricsim/*.go basrpt.go; do
     case "$f" in *_test.go) continue ;; esac
     awk -v file="$f" '
         /^(func|type) [A-Z]/ || /^func \([^)]+\) [A-Z]/ || /^(const|var) ([A-Z]|\()/ {
@@ -61,4 +62,4 @@ if [ "$fail" -ne 0 ]; then
     echo "doccheck: FAIL" >&2
     exit 1
 fi
-echo "doccheck: OK (package comments, command comments, scenario/runner/obs/ops/fabricsim exported symbols)"
+echo "doccheck: OK (package comments, command comments, scenario/runner/obs/ops/fabricsim/facade exported symbols)"
