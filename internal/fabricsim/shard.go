@@ -8,7 +8,6 @@ import (
 	"sort"
 	"time"
 
-	"basrpt/internal/eventq"
 	"basrpt/internal/flow"
 	"basrpt/internal/metrics"
 	"basrpt/internal/obs"
@@ -301,8 +300,8 @@ type shardMsg struct {
 
 // routedMsg is a shardMsg stamped with its delivery time and source
 // cell — the (time, shard id, seq) merge key that fixes the global
-// admission order (seq is the source outbox's FIFO order, preserved by
-// the stable sort in routeOutboxes).
+// admission order. seq is the message's position in its source outbox;
+// routeOutboxes keeps it by merging stably.
 type routedMsg struct {
 	deliver float64
 	srcCell int
@@ -363,9 +362,14 @@ type shardCell struct {
 	genT     float64
 	genDone  bool
 
+	// inbox holds delivered cross-rack messages in (deliver, srcCell,
+	// seq) order, consumed positionally from inboxPos. outbox holds the
+	// cell's cross-rack sends not yet routed, in (deliver, seq) order:
+	// the stream yields arrivals in time order and delivery is arrival
+	// time plus the constant lookahead.
 	inbox    []routedMsg
 	inboxPos int
-	outbox   eventq.Queue
+	outbox   []routedMsg
 
 	nextSeq uint64 // per-rack flow counter; see cellIDShift
 
@@ -451,10 +455,10 @@ func (c *shardCell) prefetch(to float64) {
 		if deliver >= c.dur {
 			continue
 		}
-		c.outbox.Schedule(deliver, shardMsg{
+		c.outbox = append(c.outbox, routedMsg{deliver: deliver, srcCell: c.cell, msg: shardMsg{
 			src: a.Src, dst: a.Dst, size: a.Size, class: a.Class,
 			genTime: a.Time, id: id,
-		})
+		}})
 		c.cMsgsSent.Inc()
 	}
 }
@@ -857,6 +861,7 @@ func runDecomposed(cfg ShardConfig, cells []*shardCell) (*Result, error) {
 	defer pool.stop()
 
 	capTs := make([]float64, 0, batch)
+	rt := router{hpr: hpr}
 	windows := 0
 	for b := 0; ; b++ {
 		if b > 0 && b%repackEvery == 0 {
@@ -887,7 +892,7 @@ func runDecomposed(cfg ShardConfig, cells []*shardCell) (*Result, error) {
 		// message within timeEps of a window cap lands with the batch
 		// that admits it, at every batch size.
 		routeStart := time.Since(origin).Nanoseconds()
-		routeOutboxes(cells, end+2*timeEps, hpr)
+		rt.routeOutboxes(cells, end+2*timeEps)
 		cfg.Timeline.Add(obs.TimelineSpan{
 			Track: obs.TimelineCoordinator, Name: "route", Window: b,
 			StartNs: routeStart, DurNs: time.Since(origin).Nanoseconds() - routeStart,
@@ -981,6 +986,17 @@ func accountBatch(cells []*shardCell, pool *shardPool, barrier, firstWindow int,
 	}
 }
 
+// router moves cross-rack messages from source outboxes into
+// destination inboxes at each barrier, on the coordinator goroutine. Its
+// slices are scratch kept across barriers, so routing stops allocating
+// once they have grown to the run's largest barrier.
+type router struct {
+	hpr   int         // hosts per rack: a global host id's cell is id/hpr
+	start []int       // per destination: inbox length before this pass
+	ends  []int       // run ends of the inbox segment being merged
+	tmp   []routedMsg // left run of the merge in progress
+}
+
 // routeOutboxes moves every cross-rack message deliverable before
 // `horizon` (exclusive — the end of the batch about to run, plus the
 // admission slack) from source outboxes into destination inboxes in
@@ -990,35 +1006,87 @@ func accountBatch(cells []*shardCell, pool *shardPool, barrier, firstWindow int,
 // earlier, inside the horizon the previous barrier's prefetch pulled
 // through. Later barriers only append later deliveries, so inboxes stay
 // sorted under positional consumption.
-func routeOutboxes(cells []*shardCell, horizon float64, hpr int) {
+//
+// Each outbox is already in (deliver, seq) order, so one pass in rack
+// order takes every source's prefix below the horizon and appends it to
+// the destination inboxes. A destination's new segment is then one
+// ascending run per source cell, in source order, and a stable merge by
+// delivery time alone yields the (deliver, srcCell, seq) order.
+func (r *router) routeOutboxes(cells []*shardCell, horizon float64) {
+	r.start = r.start[:0]
 	for _, c := range cells {
 		if c.inboxPos > 0 {
 			n := copy(c.inbox, c.inbox[c.inboxPos:])
 			c.inbox = c.inbox[:n]
 			c.inboxPos = 0
 		}
+		r.start = append(r.start, len(c.inbox))
 	}
-	var routed []routedMsg
-	for ci, c := range cells {
-		for {
-			dt, ok := c.outbox.PeekTime()
-			if !ok || dt >= horizon {
+	for _, c := range cells {
+		n := 0
+		for ; n < len(c.outbox) && c.outbox[n].deliver < horizon; n++ {
+			dst := cells[c.outbox[n].msg.dst/r.hpr]
+			dst.inbox = append(dst.inbox, c.outbox[n])
+		}
+		c.outbox = c.outbox[:copy(c.outbox, c.outbox[n:])]
+	}
+	for i, c := range cells {
+		r.mergeRuns(c.inbox[r.start[i]:])
+	}
+}
+
+// mergeRuns stably sorts seg by delivery time. seg is a concatenation of
+// ascending runs, so a bottom-up merge of its natural runs costs
+// O(n log runs) moves.
+func (r *router) mergeRuns(seg []routedMsg) {
+	r.ends = r.ends[:0]
+	for i := 1; i < len(seg); i++ {
+		if seg[i].deliver < seg[i-1].deliver {
+			r.ends = append(r.ends, i)
+		}
+	}
+	if len(r.ends) == 0 {
+		return
+	}
+	r.ends = append(r.ends, len(seg))
+	for len(r.ends) > 1 {
+		lo, w := 0, 0
+		for k := 0; k < len(r.ends); k += 2 {
+			if k+1 == len(r.ends) {
+				r.ends[w] = r.ends[k]
+				w++
 				break
 			}
-			ev, t, _ := c.outbox.Pop()
-			routed = append(routed, routedMsg{deliver: t, srcCell: ci, msg: ev.(shardMsg)})
+			mid, hi := r.ends[k], r.ends[k+1]
+			r.merge(seg[lo:hi], mid-lo)
+			r.ends[w] = hi
+			w++
+			lo = hi
 		}
+		r.ends = r.ends[:w]
 	}
-	sort.SliceStable(routed, func(i, j int) bool {
-		if routed[i].deliver != routed[j].deliver {
-			return routed[i].deliver < routed[j].deliver
+}
+
+// merge stably merges the ascending runs s[:mid] and s[mid:] in place,
+// copying only the left run out. Ties take the left run first.
+func (r *router) merge(s []routedMsg, mid int) {
+	if s[mid-1].deliver <= s[mid].deliver {
+		return
+	}
+	r.tmp = append(r.tmp[:0], s[:mid]...)
+	left, right := r.tmp, s[mid:]
+	i, j, w := 0, 0, 0
+	for i < len(left) && j < len(right) {
+		if right[j].deliver < left[i].deliver {
+			s[w] = right[j]
+			j++
+		} else {
+			s[w] = left[i]
+			i++
 		}
-		return routed[i].srcCell < routed[j].srcCell
-	})
-	for _, rm := range routed {
-		dst := cells[rm.msg.dst/hpr]
-		dst.inbox = append(dst.inbox, rm)
+		w++
 	}
+	copy(s[w:], left[i:])
 }
 
 // foldBatch replays one batch window-by-window through foldWindowSeg —
