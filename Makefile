@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench bench-shard trace-smoke ops-smoke soak cover experiments stability fuzz scenarios doccheck clean
+.PHONY: all build test race vet bench bench-shard trace-smoke ops-smoke soak cover experiments experiments-check stability fuzz scenarios doccheck clean
 
 all: build test
 
@@ -64,6 +64,23 @@ cover:
 experiments:
 	$(GO) run ./cmd/basrptbench -exp all -scale medium
 
+# Experiment-layer golden gate: rerun every basrptbench experiment at
+# small scale (~20 s) and byte-compare against results/bench_small.txt.
+# Only wall-clock lines vary between runs, so both sides drop them: the
+# "[<exp> took ...]" footers and the ablation's two "mean decision time"
+# rows. Those rows also set the width of the ablation table, so trailing
+# padding and the dash rules under table headers are normalized too. On
+# mismatch the regenerated output stays in experiments_out/.
+EXPERIMENTS_STRIP = sed -e '/^\[.* took .*\]$$/d' -e '/ mean decision time /d' \
+	-e 's/ *$$//' -e 's/^--*$$/--/'
+
+experiments-check:
+	mkdir -p experiments_out
+	$(GO) run ./cmd/basrptbench -exp all -scale small > experiments_out/raw.txt
+	$(EXPERIMENTS_STRIP) experiments_out/raw.txt > experiments_out/bench_small.txt
+	cmp results/bench_small.txt experiments_out/bench_small.txt
+	@echo "experiments OK: output byte-identical to results/bench_small.txt"
+
 # The long-horizon stability showcase (several minutes of wall time).
 stability:
 	$(GO) run ./cmd/basrptbench -exp stability -racks 2 -hosts 6 -duration 120 -csvdir results
@@ -98,5 +115,5 @@ clean:
 	$(GO) clean ./...
 	rm -rf internal/matching/testdata internal/stats/testdata internal/faults/testdata \
 		internal/trace/testdata internal/checkpoint/testdata internal/scenario/testdata \
-		soak_out scenario_out ops_smoke_out
+		soak_out scenario_out ops_smoke_out experiments_out
 	rm -f trace_smoke_a.jsonl trace_smoke_b.jsonl
