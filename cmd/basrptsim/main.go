@@ -4,7 +4,13 @@
 //	basrptsim -scheduler fast-basrpt -v 2500 -load 0.95 -racks 4 -hosts 6 -duration 5
 //	basrptsim -scheduler srpt -load 0.6 -json
 //	basrptsim -scheduler srpt -load 0.8 -faults -faultseed 7   # inject link faults + a scheduler outage
+//	basrptsim -scheduler srpt -load 0.95 -port 3 -series /tmp/srpt   # time series as CSV
 //	basrptsim -shards 4 -racks 344 -hosts 12 -duration 0.002 -timeline tl.json -ops 127.0.0.1:9090
+//
+// -series PREFIX writes the raw data behind Figures 2 and 5:
+// PREFIX_queue.csv (the -port ingress backlog), PREFIX_total_backlog.csv
+// and PREFIX_throughput.csv. Each run is one seed; multi-seed aggregates
+// are scenario specs, run by basrptexp.
 package main
 
 import (
@@ -14,6 +20,7 @@ import (
 	"os"
 
 	"basrpt"
+	"basrpt/internal/core"
 	"basrpt/internal/trace"
 )
 
@@ -63,18 +70,19 @@ func writeFileAtomic(path string, data []byte) error {
 
 // options holds the parsed command line.
 type options struct {
-	schedName, pattern, tracePath, ckptPath, resumeIn, timeline, opsAddr string
+	schedName, pattern, tracePath, ckptPath, resumeIn, timeline, opsAddr, series string
 
 	v, threshold, load, duration, queryFrac, jobRate, ckptEvery, window float64
 
-	racks, hosts, fanout, shards, barrier, workers int
-	seed, faultSeed                                uint64
-	inject, jsonOut, traceWall, haltAfter          bool
+	racks, hosts, fanout, shards, barrier, workers, port int
+	seed, faultSeed                                      uint64
+	inject, jsonOut, traceWall, haltAfter                bool
 }
 
-// parseFlags parses args and rejects flags the selected engine would
-// ignore: -shards 1 is the centralized engine, -shards >= 2 the
-// rack-decomposed one.
+// parseFlags parses args and rejects every flag the run would ignore:
+// one whose enabling flag is unset, or one the selected engine does not
+// read (-shards 1 is the centralized engine, -shards >= 2 the
+// rack-decomposed one).
 func parseFlags(args []string) (*options, error) {
 	o := &options{}
 	fs := flag.NewFlagSet("basrptsim", flag.ContinueOnError)
@@ -87,7 +95,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.Float64Var(&o.duration, "duration", 4, "simulated seconds")
 	fs.Uint64Var(&o.seed, "seed", 1, "random seed")
 	fs.Float64Var(&o.queryFrac, "queryfrac", basrpt.DefaultQueryByteFraction, "fraction of offered bytes carried by 20KB queries")
-	fs.StringVar(&o.pattern, "workload", "mixed", "traffic pattern: mixed (paper Section V-A) or incast (partition/aggregate)")
+	fs.StringVar(&o.pattern, "workload", core.PatternMixed, "traffic pattern: mixed (paper Section V-A) or incast (partition/aggregate)")
 	fs.IntVar(&o.fanout, "fanout", 8, "incast: backends per job")
 	fs.Float64Var(&o.jobRate, "jobs", 500, "incast: partition/aggregate jobs per second")
 	fs.BoolVar(&o.inject, "faults", false, "inject a deterministic fault schedule (link faults + a scheduler outage)")
@@ -105,39 +113,46 @@ func parseFlags(args []string) (*options, error) {
 	fs.IntVar(&o.workers, "workers", 0, "with -shards >= 2: persistent worker goroutines executing the cells (0 = GOMAXPROCS; wall-clock only)")
 	fs.StringVar(&o.timeline, "timeline", "", "with -shards >= 2: write a Chrome trace_event timeline of cell/coordinator wall-clock execution to this file (open in chrome://tracing or Perfetto)")
 	fs.StringVar(&o.opsAddr, "ops", "", "serve a live ops endpoint on this address while the run executes: Prometheus /metrics, /progress JSON, /debug/pprof")
+	fs.IntVar(&o.port, "port", 0, "ingress port whose backlog is the queue series (see -series)")
+	fs.StringVar(&o.series, "series", "", "write the queue, total-backlog and throughput series as CSV to PREFIX_queue.csv, PREFIX_total_backlog.csv and PREFIX_throughput.csv")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
 	if o.shards < 1 {
 		return nil, fmt.Errorf("-shards %d < 1", o.shards)
 	}
-	if o.haltAfter && o.ckptPath == "" {
-		return nil, fmt.Errorf("-halt-after-checkpoint requires -checkpoint")
+	if o.seed == 0 {
+		return nil, fmt.Errorf("-seed must be nonzero")
 	}
-	// Each engine rejects the flags only the other one reads.
-	type engineFlag struct {
-		name string
-		set  bool
+	if err := o.cell().Scale.Validate(); err != nil {
+		return nil, err
 	}
-	foreign, owner := []engineFlag{
-		{"-barrier-every", o.barrier != 0},
-		{"-workers", o.workers != 0},
-		{"-timeline", o.timeline != ""},
-	}, "the decomposed engine (-shards >= 2)"
-	if o.decomposed() {
-		if o.pattern != "mixed" {
-			return nil, fmt.Errorf("-shards >= 2 supports only -workload mixed")
-		}
-		foreign, owner = []engineFlag{
-			{"-faults", o.inject},
-			{"-checkpoint", o.ckptPath != ""},
-			{"-resume", o.resumeIn != ""},
-			{"-window", o.window != 0},
-		}, "the centralized engine (-shards 1)"
-	}
-	for _, f := range foreign {
-		if f.set {
-			return nil, fmt.Errorf("%s requires %s", f.name, owner)
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	// A flag that is set while the flag or engine it depends on is not
+	// would be silently ignored; reject it instead.
+	incast, central := o.pattern == core.PatternIncast, !o.decomposed()
+	for _, r := range []struct {
+		flag, needs string
+		ok          bool
+	}{
+		{"checkpointevery", "-checkpoint", o.ckptPath != ""},
+		{"halt-after-checkpoint", "-checkpoint", o.ckptPath != ""},
+		{"tracewall", "-trace", o.tracePath != ""},
+		{"faultseed", "-faults", o.inject},
+		{"fanout", "-workload incast", incast},
+		{"jobs", "-workload incast", incast},
+		{"queryfrac", "-workload mixed", !incast},
+		{"barrier-every", "the decomposed engine (-shards >= 2)", !central},
+		{"workers", "the decomposed engine (-shards >= 2)", !central},
+		{"timeline", "the decomposed engine (-shards >= 2)", !central},
+		{"faults", "the centralized engine (-shards 1)", central},
+		{"checkpoint", "the centralized engine (-shards 1)", central},
+		{"resume", "the centralized engine (-shards 1)", central},
+		{"window", "the centralized engine (-shards 1)", central},
+	} {
+		if set[r.flag] && !r.ok {
+			return nil, fmt.Errorf("-%s requires %s", r.flag, r.needs)
 		}
 	}
 	return o, nil
@@ -146,48 +161,33 @@ func parseFlags(args []string) (*options, error) {
 // decomposed reports whether the run selects the rack-decomposed engine.
 func (o *options) decomposed() bool { return o.shards >= 2 }
 
-// fabricConfig builds the centralized engine's configuration: the
-// scheduler, the workload, and the optional checkpoint sink and fault
-// schedule.
-func (o *options) fabricConfig(topo *basrpt.Topology) (basrpt.FabricConfig, error) {
-	scheduler, err := basrpt.NewScheduler(o.schedName, o.schedOpts())
+// cell is the run the flags describe, in the one fabric-run recipe.
+func (o *options) cell() core.Cell {
+	c := core.Cell{
+		Scale:         core.Scale{Racks: o.racks, HostsPerRack: o.hosts, Duration: o.duration, Seed: o.seed},
+		Scheduler:     o.schedName,
+		Options:       basrpt.SchedulerOptions{V: o.v, Threshold: o.threshold},
+		Load:          o.load,
+		QueryFraction: o.queryFrac,
+		Pattern:       o.pattern,
+		Fanout:        o.fanout,
+		JobsPerSecond: o.jobRate,
+	}
+	if o.inject {
+		c.Faults = &core.CellFaults{LinkFaults: 3, Outages: 1, Seed: o.faultSeed}
+	}
+	return c
+}
+
+// fabricConfig builds the centralized engine's configuration: the cell
+// plus the monitored port, streaming window and checkpoint sink.
+func (o *options) fabricConfig() (basrpt.FabricConfig, error) {
+	cfg, _, err := o.cell().Build()
 	if err != nil {
-		return basrpt.FabricConfig{}, err
+		return cfg, err
 	}
-	var gen basrpt.Generator
-	switch o.pattern {
-	case "mixed":
-		gen, err = basrpt.NewMixedWorkload(basrpt.MixedConfig{
-			Topology:          topo,
-			Load:              o.load,
-			QueryByteFraction: o.queryFrac,
-			Duration:          o.duration,
-			Seed:              o.seed,
-		})
-	case "incast":
-		gen, err = basrpt.NewIncastWorkload(basrpt.IncastConfig{
-			Topology:       topo,
-			JobsPerSecond:  o.jobRate,
-			Fanout:         o.fanout,
-			BackgroundLoad: o.load,
-			Duration:       o.duration,
-			Seed:           o.seed,
-		})
-	default:
-		err = fmt.Errorf("unknown workload %q (mixed|incast)", o.pattern)
-	}
-	if err != nil {
-		return basrpt.FabricConfig{}, err
-	}
-	cfg := basrpt.FabricConfig{
-		Hosts:        topo.NumHosts(),
-		LinkBps:      topo.HostLinkBps(),
-		Scheduler:    scheduler,
-		Generator:    gen,
-		Duration:     o.duration,
-		Seed:         o.seed,
-		StreamWindow: o.window,
-	}
+	cfg.MonitorPort = o.port
+	cfg.StreamWindow = o.window
 	if o.ckptPath != "" {
 		cfg.CheckpointEvery = o.ckptEvery
 		if cfg.CheckpointEvery <= 0 {
@@ -203,25 +203,16 @@ func (o *options) fabricConfig(topo *basrpt.Topology) (basrpt.FabricConfig, erro
 			return nil
 		}
 	}
-	if o.inject {
-		schedule, err := basrpt.GenerateFaults(basrpt.FaultParams{
-			Seed:       o.faultSeed,
-			Horizon:    o.duration,
-			Ports:      topo.NumHosts(),
-			LinkFaults: 3,
-			Outages:    1,
-		})
-		if err != nil {
-			return basrpt.FabricConfig{}, err
-		}
-		cfg.Faults = basrpt.NewFaultInjector(schedule)
-	}
 	return cfg, nil
 }
 
-// schedOpts is the discipline parameter set both engines receive.
-func (o *options) schedOpts() basrpt.SchedulerOptions {
-	return basrpt.SchedulerOptions{V: o.v, Threshold: o.threshold, Seed: o.seed}
+// shardConfig builds the decomposed engine's configuration.
+func (o *options) shardConfig() (basrpt.ShardConfig, error) {
+	scfg, err := o.cell().ShardConfig(o.shards)
+	scfg.MonitorPort = o.port
+	scfg.BarrierEvery = o.barrier
+	scfg.Workers = o.workers
+	return scfg, err
 }
 
 // runFabric runs the centralized engine, from t=0 or from -resume.
@@ -249,33 +240,19 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	topo, err := basrpt.NewTopology(basrpt.ScaledTopology(o.racks, o.hosts))
+	// Only the engine -shards selects gets a configuration; the plumbing
+	// below is set on both.
+	var cfg basrpt.FabricConfig
+	var scfg basrpt.ShardConfig
+	if o.decomposed() {
+		scfg, err = o.shardConfig()
+	} else {
+		cfg, err = o.fabricConfig()
+	}
 	if err != nil {
 		return err
 	}
-	if err := topo.ValidateNonBlocking(); err != nil {
-		return err
-	}
-	// Both engine configurations are filled from here on; only the one
-	// -shards selects runs.
-	var cfg basrpt.FabricConfig
-	if !o.decomposed() {
-		if cfg, err = o.fabricConfig(topo); err != nil {
-			return err
-		}
-	}
-	scfg := basrpt.ShardConfig{
-		Topology:          topo,
-		Scheduler:         o.schedName,
-		SchedOpts:         o.schedOpts(),
-		Load:              o.load,
-		QueryByteFraction: o.queryFrac,
-		Duration:          o.duration,
-		Seed:              o.seed,
-		Shards:            o.shards,
-		BarrierEvery:      o.barrier,
-		Workers:           o.workers,
-	}
+	hosts := o.racks * o.hosts
 	if o.timeline != "" {
 		scfg.Timeline = basrpt.NewTimeline()
 	}
@@ -327,7 +304,7 @@ func run(args []string, w io.Writer) error {
 			traceWriter, err = basrpt.NewTraceWriter(traceFile, basrpt.TraceHeader{
 				Seed:        int64(o.seed),
 				Scheduler:   o.schedName,
-				Hosts:       topo.NumHosts(),
+				Hosts:       hosts,
 				Load:        o.load,
 				DurationSec: o.duration,
 				WallClock:   o.traceWall,
@@ -360,6 +337,11 @@ func run(args []string, w io.Writer) error {
 			return fmt.Errorf("close trace: %w", err)
 		}
 	}
+	if o.series != "" {
+		if err := writeSeries(o.series, res); err != nil {
+			return err
+		}
+	}
 	if tl := scfg.Timeline; tl != nil {
 		f, err := os.Create(o.timeline)
 		if err != nil {
@@ -378,7 +360,7 @@ func run(args []string, w io.Writer) error {
 	bg := res.FCT.Stats(basrpt.ClassBackground)
 	out := summary{
 		Scheduler:      res.SchedulerName,
-		Hosts:          topo.NumHosts(),
+		Hosts:          hosts,
 		Load:           o.load,
 		DurationSec:    o.duration,
 		ArrivedFlows:   res.ArrivedFlows,
@@ -435,6 +417,9 @@ func run(args []string, w io.Writer) error {
 	if traceWriter != nil {
 		tbl.AddRow("trace", fmt.Sprintf("%d events -> %s", traceWriter.Events(), o.tracePath))
 	}
+	if o.series != "" {
+		tbl.AddRow("series", fmt.Sprintf("%d samples -> %s_{queue,total_backlog,throughput}.csv", res.QueueSeries.Len(), o.series))
+	}
 	if tl := scfg.Timeline; tl != nil {
 		tbl.AddRow("timeline", fmt.Sprintf("%d spans -> %s (open in chrome://tracing)", tl.Len(), o.timeline))
 	}
@@ -448,5 +433,34 @@ func run(args []string, w io.Writer) error {
 		fmt.Fprintln(w, im.String())
 	}
 	fmt.Fprint(w, trace.Chart("max-port backlog (bytes)", &res.MaxPortSeries, 60, 8))
+	return nil
+}
+
+// writeSeries exports the run's time series as CSV: the monitored port's
+// backlog, the fabric's total backlog and the global throughput.
+func writeSeries(prefix string, res *basrpt.FabricResult) error {
+	tput := res.Throughput.SeriesGbps()
+	for _, e := range []struct {
+		name, header string
+		series       *basrpt.Series
+	}{
+		{"queue", "monitored_port_backlog_bytes", &res.QueueSeries},
+		{"total_backlog", "total_backlog_bytes", &res.TotalBacklogSeries},
+		{"throughput", "throughput_gbps", &tput},
+	} {
+		path := fmt.Sprintf("%s_%s.csv", prefix, e.name)
+		f, err := os.Create(path)
+		if err != nil {
+			return fmt.Errorf("create %s: %w", path, err)
+		}
+		writeErr := trace.WriteSeriesCSV(f, e.header, e.series)
+		closeErr := f.Close()
+		if writeErr != nil {
+			return fmt.Errorf("write %s: %w", path, writeErr)
+		}
+		if closeErr != nil {
+			return fmt.Errorf("close %s: %w", path, closeErr)
+		}
+	}
 	return nil
 }

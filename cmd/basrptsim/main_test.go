@@ -50,25 +50,46 @@ func TestRunJSONOutput(t *testing.T) {
 }
 
 func TestRunRejectsBadArgs(t *testing.T) {
-	cases := [][]string{
-		{"-scheduler", "bogus"},
-		{"-load", "1.5", "-racks", "2", "-hosts", "3"},
-		{"-racks", "0"},
-		{"-unknownflag"},
+	small := []string{"-racks", "2", "-hosts", "3"}
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-scheduler", "bogus"}, "unknown scheduler"},
+		{append(small, "-load", "1.5"), "load 1.5"},
+		{[]string{"-racks", "0"}, "racks 0"},
+		{[]string{"-unknownflag"}, "flag provided but not defined"},
+		{append(small, "-seed", "0"), "-seed must be nonzero"},
+		{append(small, "-workload", "chaos"), "unknown pattern"},
+		// Flags whose enabling flag is unset.
+		{append(small, "-checkpointevery", "0.05"), "-checkpointevery requires -checkpoint"},
+		{append(small, "-halt-after-checkpoint"), "-halt-after-checkpoint requires -checkpoint"},
+		{append(small, "-tracewall"), "-tracewall requires -trace"},
+		{append(small, "-faultseed", "7"), "-faultseed requires -faults"},
+		{append(small, "-fanout", "3"), "-fanout requires -workload incast"},
+		{append(small, "-jobs", "200"), "-jobs requires -workload incast"},
+		{append(small, "-workload", "incast", "-queryfrac", "0.2"), "-queryfrac requires -workload mixed"},
 		// Engine flags the selected engine would ignore.
-		{"-racks", "2", "-hosts", "3", "-shards", "-3"},
-		{"-racks", "2", "-hosts", "3", "-shards", "0"},
-		{"-racks", "2", "-hosts", "3", "-workers", "3"},
-		{"-racks", "2", "-hosts", "3", "-barrier-every", "-5"},
-		{"-racks", "2", "-hosts", "3", "-shards", "1", "-timeline", "tl.json"},
-		{"-racks", "2", "-hosts", "3", "-shards", "2", "-faults"},
-		{"-racks", "2", "-hosts", "3", "-shards", "2", "-window", "0.01"},
-		{"-racks", "2", "-hosts", "3", "-shards", "2", "-workload", "incast"},
+		{append(small, "-shards", "-3"), "-shards -3 < 1"},
+		{append(small, "-shards", "0"), "-shards 0 < 1"},
+		{append(small, "-workers", "3"), "-workers requires the decomposed engine"},
+		{append(small, "-barrier-every", "-5"), "-barrier-every requires the decomposed engine"},
+		{append(small, "-shards", "1", "-timeline", "tl.json"), "-timeline requires the decomposed engine"},
+		{append(small, "-shards", "2", "-faults"), "-faults requires the centralized engine"},
+		{append(small, "-shards", "2", "-window", "0.01"), "-window requires the centralized engine"},
+		{append(small, "-shards", "2", "-workload", "incast"), "decomposed engine runs only the mixed pattern"},
+		// The monitored port must exist on both engines.
+		{append(small, "-port", "6"), "monitor port 6"},
+		{append(small, "-port", "-1"), "monitor port -1"},
+		{append(small, "-shards", "2", "-port", "6"), "monitor port 6"},
+		{append(small, "-shards", "2", "-port", "-1"), "monitor port -1"},
+		{append(small, "-load", "0.4", "-series", "/nonexistent-dir/run"), "create /nonexistent-dir/run_queue.csv"},
 	}
-	for _, args := range cases {
+	for _, c := range cases {
 		var buf bytes.Buffer
-		if err := run(append(args, "-duration", "0.1"), &buf); err == nil {
-			t.Fatalf("args %v accepted", args)
+		err := run(append(c.args, "-duration", "0.1"), &buf)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("args %v: error %v, want one containing %q", c.args, err, c.want)
 		}
 	}
 }
@@ -216,5 +237,55 @@ func TestRunShardedEngine(t *testing.T) {
 	}
 	if fi, err := os.Stat(tl); err != nil || fi.Size() == 0 {
 		t.Fatalf("-timeline wrote no file: %v", err)
+	}
+}
+
+// TestRunSeriesExport drives -series: three CSV files, each headed by the
+// time column, beside a -trace whose header carries the run's seed; and
+// the decomposed engine's series are byte-identical at every shard count
+// (grouping invariance), with -port selecting a host outside rack 0.
+func TestRunSeriesExport(t *testing.T) {
+	dir := t.TempDir()
+	series := func(prefix string, extra ...string) [][]byte {
+		t.Helper()
+		var buf bytes.Buffer
+		args := append([]string{"-racks", "3", "-hosts", "3", "-duration", "0.05", "-load", "0.6",
+			"-seed", "4", "-series", prefix}, extra...)
+		if err := run(args, &buf); err != nil {
+			t.Fatalf("%v: %v", extra, err)
+		}
+		if !strings.Contains(buf.String(), "series") {
+			t.Fatalf("text output missing the series summary:\n%s", buf.String())
+		}
+		var files [][]byte
+		for _, suffix := range []string{"queue", "total_backlog", "throughput"} {
+			data, err := os.ReadFile(prefix + "_" + suffix + ".csv")
+			if err != nil {
+				t.Fatalf("missing %s export: %v", suffix, err)
+			}
+			if !strings.HasPrefix(string(data), "time,") || strings.Count(string(data), "\n") < 3 {
+				t.Fatalf("%s export has no header or samples: %q", suffix, data)
+			}
+			files = append(files, data)
+		}
+		return files
+	}
+
+	tracePath := filepath.Join(dir, "run.jsonl")
+	series(filepath.Join(dir, "central"), "-trace", tracePath)
+	raw, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h, events, err := basrpt.ReadTrace(bytes.NewReader(raw)); err != nil || h.Seed != 4 || len(events) == 0 {
+		t.Fatalf("trace header %+v with %d events: %v", h, len(events), err)
+	}
+
+	two := series(filepath.Join(dir, "two"), "-shards", "2", "-port", "5")
+	four := series(filepath.Join(dir, "four"), "-shards", "4", "-port", "5")
+	for i := range two {
+		if !bytes.Equal(two[i], four[i]) {
+			t.Fatalf("series file %d differs between -shards 2 and -shards 4", i)
+		}
 	}
 }

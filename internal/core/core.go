@@ -1,8 +1,10 @@
 // Package core assembles the substrates into the paper's experiments: one
 // runner per table/figure (the per-experiment index lives in DESIGN.md §3),
 // each returning a structured result that renders the same rows/series the
-// paper reports. cmd/basrptbench, the examples, and the root bench_test.go
-// all drive these runners.
+// paper reports. Every fabric run is assembled by one recipe, Cell, which
+// the runners, internal/scenario and cmd/basrptsim share. cmd/basrptbench
+// and the examples drive the runners; make experiments-check pins their
+// small-scale output byte for byte.
 package core
 
 import (

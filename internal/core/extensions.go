@@ -135,7 +135,21 @@ func RunNoise(scale Scale, v, load float64, levels []float64) (*NoiseResult, err
 		if level < 0 {
 			return nil, fmt.Errorf("noise ablation: negative level %g", level)
 		}
-		run, err := runFabric(scale, sched.NewNoisyFastBASRPT(v, level), load)
+		cfg, _, err := Cell{
+			Scale:     scale,
+			Scheduler: "noisy-basrpt",
+			Options:   sched.Options{V: v, NoiseLevel: level},
+			Load:      load,
+		}.Build()
+		if err != nil {
+			return nil, fmt.Errorf("noise ablation at %g: %w", level, err)
+		}
+		if level == 0 {
+			// The registry maps noise level 0 to its default; the exact-
+			// size row must stay exact.
+			cfg.Scheduler = sched.NewNoisyFastBASRPT(v, 0)
+		}
+		run, err := runConfig(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("noise ablation at %g: %w", level, err)
 		}

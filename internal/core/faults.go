@@ -11,7 +11,6 @@ import (
 	"basrpt/internal/metrics"
 	"basrpt/internal/sched"
 	"basrpt/internal/trace"
-	"basrpt/internal/workload"
 )
 
 // FaultsLoad is the offered load of the resilience experiment — below
@@ -73,60 +72,27 @@ func RunFaults(scale Scale, v float64, run Run) (*FaultsResult, error) {
 		v = DefaultV
 	}
 	faultSeed := run.withDefaults().FaultSeed
-	topo, err := scale.Topology()
-	if err != nil {
-		return nil, err
-	}
-	schedule, err := faults.Generate(faults.Params{
-		Seed:       faultSeed,
-		Horizon:    scale.Duration,
-		Ports:      topo.NumHosts(),
-		LinkFaults: 3,
-		Outages:    1,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("faults: generate schedule: %w", err)
-	}
-
 	res := &FaultsResult{
 		Scale:     scale,
 		V:         v,
 		FaultSeed: faultSeed,
 		Load:      FaultsLoad,
-		Schedule:  schedule,
 	}
-	runOne := func(scheduler sched.Scheduler) (FaultsRun, error) {
-		gen, err := workload.NewMixed(workload.MixedConfig{
-			Topology:          topo,
-			Load:              FaultsLoad,
-			QueryByteFraction: workload.DefaultQueryByteFraction,
-			Duration:          scale.Duration,
-			Seed:              scale.Seed,
-		})
-		if err != nil {
-			return FaultsRun{}, fmt.Errorf("faults: build workload: %w", err)
-		}
-		sim, err := fabricsim.New(fabricsim.Config{
-			Hosts:     topo.NumHosts(),
-			LinkBps:   topo.HostLinkBps(),
+	runOne := func(scheduler string) (FaultsRun, error) {
+		// Each Build draws the same schedule into a fresh injector, so
+		// both schedulers see identical fault draws.
+		cfg, schedule, err := Cell{
+			Scale:     scale,
 			Scheduler: scheduler,
-			Generator: gen,
-			Duration:  scale.Duration,
-			Seed:      scale.Seed,
-			// A fresh injector per run so both schedulers see identical
-			// fault draws.
-			Faults: faults.NewInjector(schedule),
-			// A generous divergence bound: the watchdog is armed (so a
-			// pathological interaction truncates instead of running
-			// blind) but sits far above any stable run's backlog.
-			Watchdog: &fabricsim.Watchdog{
-				MaxBacklogBytes: float64(topo.NumHosts()) * topo.HostLinkBps() / 8 * scale.Duration,
-			},
-		})
+			Options:   sched.Options{V: v},
+			Load:      FaultsLoad,
+			Faults:    &CellFaults{LinkFaults: 3, Outages: 1, Seed: faultSeed},
+		}.Build()
 		if err != nil {
 			return FaultsRun{}, err
 		}
-		r, err := sim.Run()
+		res.Schedule = schedule
+		r, err := runConfig(cfg)
 		if err != nil {
 			return FaultsRun{}, err
 		}
@@ -142,10 +108,11 @@ func RunFaults(scale Scale, v float64, run Run) (*FaultsResult, error) {
 		out.PreFaultMeanBytes, out.RecoverySec = recoveryTime(&r.TotalBacklogSeries, schedule)
 		return out, nil
 	}
-	if res.SRPT, err = runOne(sched.NewSRPT()); err != nil {
+	var err error
+	if res.SRPT, err = runOne("srpt"); err != nil {
 		return nil, fmt.Errorf("faults srpt: %w", err)
 	}
-	if res.Fast, err = runOne(sched.NewFastBASRPT(v)); err != nil {
+	if res.Fast, err = runOne("fast-basrpt"); err != nil {
 		return nil, fmt.Errorf("faults fast-basrpt: %w", err)
 	}
 	return res, nil

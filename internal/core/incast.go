@@ -7,7 +7,6 @@ import (
 	"basrpt/internal/flow"
 	"basrpt/internal/sched"
 	"basrpt/internal/trace"
-	"basrpt/internal/workload"
 )
 
 // IncastResult is experiment E14: SRPT vs fast BASRPT under the
@@ -41,51 +40,20 @@ func RunIncast(scale Scale, v float64, fanout int, jobsPerSecond, backgroundLoad
 	if backgroundLoad <= 0 {
 		backgroundLoad = 0.6
 	}
-	topo, err := scale.Topology()
-	if err != nil {
-		return nil, err
-	}
 	if fanout <= 0 {
 		// Default: 8 backends, shrunk to fit small fabrics.
-		fanout = 8
-		if max := topo.NumHosts() - 1; fanout > max {
-			fanout = max
-		}
+		fanout = min(8, scale.Hosts()-1)
 	}
-	if fanout >= topo.NumHosts() {
-		return nil, fmt.Errorf("incast: fanout %d needs more than %d hosts", fanout, topo.NumHosts())
-	}
-	run := func(s sched.Scheduler) (*fabricsim.Result, error) {
-		gen, err := workload.NewIncast(workload.IncastConfig{
-			Topology:       topo,
-			JobsPerSecond:  jobsPerSecond,
-			Fanout:         fanout,
-			BackgroundLoad: backgroundLoad,
-			Duration:       scale.Duration,
-			Seed:           scale.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		sim, err := fabricsim.New(fabricsim.Config{
-			Hosts:     topo.NumHosts(),
-			LinkBps:   topo.HostLinkBps(),
-			Scheduler: s,
-			Generator: gen,
-			Duration:  scale.Duration,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return sim.Run()
-	}
-	srpt, err := run(sched.NewSRPT())
+	srpt, fast, err := Cell{
+		Scale:         scale,
+		Options:       sched.Options{V: v},
+		Load:          backgroundLoad,
+		Pattern:       PatternIncast,
+		Fanout:        fanout,
+		JobsPerSecond: jobsPerSecond,
+	}.srptAndFast()
 	if err != nil {
-		return nil, fmt.Errorf("incast srpt: %w", err)
-	}
-	fast, err := run(sched.NewFastBASRPT(v))
-	if err != nil {
-		return nil, fmt.Errorf("incast fast-basrpt: %w", err)
+		return nil, fmt.Errorf("incast: %w", err)
 	}
 	return &IncastResult{
 		Scale:          scale,

@@ -5,8 +5,6 @@ import (
 
 	"basrpt/internal/fabricsim"
 	"basrpt/internal/runner"
-	"basrpt/internal/sched"
-	"basrpt/internal/workload"
 )
 
 func tinyScale() Scale {
@@ -22,33 +20,12 @@ func TestMultiWatchdogTruncationParallel(t *testing.T) {
 	task := runner.Task{Name: "truncated", Run: func(seed uint64) (runner.Sample, error) {
 		s := scale
 		s.Seed = seed
-		topo, err := s.Topology()
+		cfg, _, err := Cell{Scale: s, Scheduler: "srpt", Load: 0.9}.Build()
 		if err != nil {
 			return nil, err
 		}
-		gen, err := workload.NewMixed(workload.MixedConfig{
-			Topology:          topo,
-			Load:              0.9,
-			QueryByteFraction: workload.DefaultQueryByteFraction,
-			Duration:          s.Duration,
-			Seed:              seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		sim, err := fabricsim.New(fabricsim.Config{
-			Hosts:     topo.NumHosts(),
-			LinkBps:   topo.HostLinkBps(),
-			Scheduler: sched.NewSRPT(),
-			Generator: gen,
-			Duration:  s.Duration,
-			Seed:      seed,
-			Watchdog:  &fabricsim.Watchdog{MaxBacklogBytes: 1},
-		})
-		if err != nil {
-			return nil, err
-		}
-		res, err := sim.Run()
+		cfg.Watchdog = &fabricsim.Watchdog{MaxBacklogBytes: 1}
+		res, err := runConfig(cfg)
 		if err != nil {
 			return nil, err
 		}

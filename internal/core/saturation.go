@@ -13,46 +13,6 @@ import (
 	"basrpt/internal/workload"
 )
 
-// runFabric executes one scheduler over the scale's topology at the given
-// load with the default query byte share. The arrival stream depends only
-// on (scale, load), so different schedulers see identical workloads.
-func runFabric(scale Scale, scheduler sched.Scheduler, load float64) (*fabricsim.Result, error) {
-	return runFabricQF(scale, scheduler, load, workload.DefaultQueryByteFraction)
-}
-
-// runFabricQF is runFabric with an explicit query byte fraction — the knob
-// that controls how aggressively small cross-rack flows preempt the
-// rack-local elephants, i.e. how fast SRPT's instability builds.
-func runFabricQF(scale Scale, scheduler sched.Scheduler, load, queryFraction float64) (*fabricsim.Result, error) {
-	scale = scale.withDefaults()
-	topo, err := scale.Topology()
-	if err != nil {
-		return nil, err
-	}
-	gen, err := workload.NewMixed(workload.MixedConfig{
-		Topology:          topo,
-		Load:              load,
-		QueryByteFraction: queryFraction,
-		Duration:          scale.Duration,
-		Seed:              scale.Seed,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("build workload: %w", err)
-	}
-	sim, err := fabricsim.New(fabricsim.Config{
-		Hosts:     topo.NumHosts(),
-		LinkBps:   topo.HostLinkBps(),
-		Scheduler: scheduler,
-		Generator: gen,
-		Duration:  scale.Duration,
-		Seed:      scale.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return sim.Run()
-}
-
 // trendAfterWarmup classifies a queue series ignoring the warmup prefix.
 func trendAfterWarmup(s *metrics.Series, scale Scale) stats.TrendReport {
 	scale = scale.withDefaults()
@@ -84,11 +44,16 @@ func RunFig2(scale Scale, threshold float64) (*Fig2Result, error) {
 	if threshold <= 0 {
 		threshold = 5e6
 	}
-	srpt, err := runFabric(scale, sched.NewSRPT(), Fig2Load)
+	srpt, err := Cell{Scale: scale, Scheduler: "srpt", Load: Fig2Load}.run()
 	if err != nil {
 		return nil, fmt.Errorf("fig2 srpt run: %w", err)
 	}
-	back, err := runFabric(scale, sched.NewThresholdBacklog(threshold), Fig2Load)
+	back, err := Cell{
+		Scale:     scale,
+		Scheduler: "threshold",
+		Options:   sched.Options{Threshold: threshold},
+		Load:      Fig2Load,
+	}.run()
 	if err != nil {
 		return nil, fmt.Errorf("fig2 threshold run: %w", err)
 	}
@@ -172,13 +137,9 @@ func runPair(scale Scale, v, load, queryFraction float64) (*SaturationResult, er
 	if load <= 0 || load >= 1 {
 		return nil, fmt.Errorf("load pair: load %g outside (0, 1)", load)
 	}
-	srpt, err := runFabricQF(scale, sched.NewSRPT(), load, queryFraction)
+	srpt, fast, err := Cell{Scale: scale, Options: sched.Options{V: v}, Load: load, QueryFraction: queryFraction}.srptAndFast()
 	if err != nil {
-		return nil, fmt.Errorf("saturation srpt run: %w", err)
-	}
-	fast, err := runFabricQF(scale, sched.NewFastBASRPT(v), load, queryFraction)
-	if err != nil {
-		return nil, fmt.Errorf("saturation fast-basrpt run: %w", err)
+		return nil, fmt.Errorf("load pair: %w", err)
 	}
 	res := &SaturationResult{
 		Scale: scale,

@@ -51,13 +51,9 @@ func RunFig6(scale Scale, v float64, loads []float64) (*Fig6Result, error) {
 		if load <= 0 || load >= 1 {
 			return nil, fmt.Errorf("fig6: load %g outside (0, 1)", load)
 		}
-		srpt, err := runFabric(scale, sched.NewSRPT(), load)
+		srpt, fast, err := Cell{Scale: scale, Options: sched.Options{V: v}, Load: load}.srptAndFast()
 		if err != nil {
-			return nil, fmt.Errorf("fig6 srpt at %g: %w", load, err)
-		}
-		fast, err := runFabric(scale, sched.NewFastBASRPT(v), load)
-		if err != nil {
-			return nil, fmt.Errorf("fig6 fast-basrpt at %g: %w", load, err)
+			return nil, fmt.Errorf("fig6 at %g: %w", load, err)
 		}
 		row := Fig6Row{Load: load}
 		row.SRPTQueryAvgMs, row.SRPTQueryP99Ms = fctRow(srpt, flow.ClassQuery)
@@ -148,7 +144,20 @@ func RunVSweep(scale Scale, vs []float64) (*VSweepResult, error) {
 		if v < 0 {
 			return nil, fmt.Errorf("vsweep: negative V %g", v)
 		}
-		run, err := runFabric(scale, sched.NewFastBASRPT(v), SaturationLoad)
+		cfg, _, err := Cell{
+			Scale:     scale,
+			Scheduler: "fast-basrpt",
+			Options:   sched.Options{V: v},
+			Load:      SaturationLoad,
+		}.Build()
+		if err != nil {
+			return nil, fmt.Errorf("vsweep at V=%g: %w", v, err)
+		}
+		if v == 0 {
+			// The registry maps V 0 to its default; keep the swept value.
+			cfg.Scheduler = sched.NewFastBASRPT(0)
+		}
+		run, err := runConfig(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("vsweep at V=%g: %w", v, err)
 		}
