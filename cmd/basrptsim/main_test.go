@@ -51,10 +51,7 @@ func TestRunJSONOutput(t *testing.T) {
 
 func TestRunRejectsBadArgs(t *testing.T) {
 	small := []string{"-racks", "2", "-hosts", "3"}
-	cases := []struct {
-		args []string
-		want string
-	}{
+	cases := []runErrorCase{
 		{[]string{"-scheduler", "bogus"}, "unknown scheduler"},
 		{append(small, "-load", "1.5"), "load 1.5"},
 		{[]string{"-racks", "0"}, "racks 0"},
@@ -78,13 +75,19 @@ func TestRunRejectsBadArgs(t *testing.T) {
 		{append(small, "-shards", "2", "-faults"), "-faults requires the centralized engine"},
 		{append(small, "-shards", "2", "-window", "0.01"), "-window requires the centralized engine"},
 		{append(small, "-shards", "2", "-workload", "incast"), "decomposed engine runs only the mixed pattern"},
-		// The monitored port must exist on both engines.
-		{append(small, "-port", "6"), "monitor port 6"},
-		{append(small, "-port", "-1"), "monitor port -1"},
-		{append(small, "-shards", "2", "-port", "6"), "monitor port 6"},
-		{append(small, "-shards", "2", "-port", "-1"), "monitor port -1"},
-		{append(small, "-load", "0.4", "-series", "/nonexistent-dir/run"), "create /nonexistent-dir/run_queue.csv"},
 	}
+	wantRunErrors(t, cases)
+}
+
+type runErrorCase struct {
+	args []string
+	want string
+}
+
+// wantRunErrors runs each case for 0.1 s and requires an error whose text
+// contains the case's want.
+func wantRunErrors(t *testing.T, cases []runErrorCase) {
+	t.Helper()
 	for _, c := range cases {
 		var buf bytes.Buffer
 		err := run(append(c.args, "-duration", "0.1"), &buf)
@@ -240,39 +243,56 @@ func TestRunShardedEngine(t *testing.T) {
 	}
 }
 
-// TestRunSeriesExport drives -series: three CSV files, each headed by the
-// time column, beside a -trace whose header carries the run's seed; and
-// the decomposed engine's series are byte-identical at every shard count
-// (grouping invariance), with -port selecting a host outside rack 0.
-func TestRunSeriesExport(t *testing.T) {
-	dir := t.TempDir()
-	series := func(prefix string, extra ...string) [][]byte {
-		t.Helper()
-		var buf bytes.Buffer
-		args := append([]string{"-racks", "3", "-hosts", "3", "-duration", "0.05", "-load", "0.6",
-			"-seed", "4", "-series", prefix}, extra...)
-		if err := run(args, &buf); err != nil {
-			t.Fatalf("%v: %v", extra, err)
-		}
-		if !strings.Contains(buf.String(), "series") {
-			t.Fatalf("text output missing the series summary:\n%s", buf.String())
-		}
-		var files [][]byte
-		for _, suffix := range []string{"queue", "total_backlog", "throughput"} {
-			data, err := os.ReadFile(prefix + "_" + suffix + ".csv")
-			if err != nil {
-				t.Fatalf("missing %s export: %v", suffix, err)
-			}
-			if !strings.HasPrefix(string(data), "time,") || strings.Count(string(data), "\n") < 3 {
-				t.Fatalf("%s export has no header or samples: %q", suffix, data)
-			}
-			files = append(files, data)
-		}
-		return files
+// seriesRun runs basrptsim with -series prefix on a 3x3 fabric at seed 4
+// and returns the queue, total-backlog and throughput CSVs, each checked
+// for its time header and samples.
+func seriesRun(t *testing.T, prefix string, extra ...string) [][]byte {
+	t.Helper()
+	var buf bytes.Buffer
+	args := append([]string{"-racks", "3", "-hosts", "3", "-duration", "0.05", "-load", "0.6",
+		"-seed", "4", "-series", prefix}, extra...)
+	if err := run(args, &buf); err != nil {
+		t.Fatalf("%v: %v", extra, err)
 	}
+	if !strings.Contains(buf.String(), "series") {
+		t.Fatalf("text output missing the series summary:\n%s", buf.String())
+	}
+	var files [][]byte
+	for _, suffix := range []string{"queue", "total_backlog", "throughput"} {
+		data, err := os.ReadFile(prefix + "_" + suffix + ".csv")
+		if err != nil {
+			t.Fatalf("missing %s export: %v", suffix, err)
+		}
+		if !strings.HasPrefix(string(data), "time,") || strings.Count(string(data), "\n") < 3 {
+			t.Fatalf("%s export has no header or samples: %q", suffix, data)
+		}
+		files = append(files, data)
+	}
+	return files
+}
 
+// TestRunSeriesToFiles drives -series: three CSV files, each headed by the
+// time column, on both engines; the decomposed engine's series are
+// byte-identical at every shard count (grouping invariance), with -port
+// selecting a host outside rack 0.
+func TestRunSeriesToFiles(t *testing.T) {
+	dir := t.TempDir()
+	seriesRun(t, filepath.Join(dir, "central"), "-scheduler", "fast-basrpt")
+	two := seriesRun(t, filepath.Join(dir, "two"), "-shards", "2", "-port", "5")
+	four := seriesRun(t, filepath.Join(dir, "four"), "-shards", "4", "-port", "5")
+	for i := range two {
+		if !bytes.Equal(two[i], four[i]) {
+			t.Fatalf("series file %d differs between -shards 2 and -shards 4", i)
+		}
+	}
+}
+
+// TestRunSeriesJSONLTraceExport checks that a -trace written beside the
+// -series CSVs carries the run's seed in its header and has events.
+func TestRunSeriesJSONLTraceExport(t *testing.T) {
+	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "run.jsonl")
-	series(filepath.Join(dir, "central"), "-trace", tracePath)
+	seriesRun(t, filepath.Join(dir, "run"), "-trace", tracePath)
 	raw, err := os.ReadFile(tracePath)
 	if err != nil {
 		t.Fatal(err)
@@ -280,12 +300,19 @@ func TestRunSeriesExport(t *testing.T) {
 	if h, events, err := basrpt.ReadTrace(bytes.NewReader(raw)); err != nil || h.Seed != 4 || len(events) == 0 {
 		t.Fatalf("trace header %+v with %d events: %v", h, len(events), err)
 	}
+}
 
-	two := series(filepath.Join(dir, "two"), "-shards", "2", "-port", "5")
-	four := series(filepath.Join(dir, "four"), "-shards", "4", "-port", "5")
-	for i := range two {
-		if !bytes.Equal(two[i], four[i]) {
-			t.Fatalf("series file %d differs between -shards 2 and -shards 4", i)
-		}
-	}
+// TestRunSeriesRejectsBadArgs covers the series-export errors: an unknown
+// scheduler, a monitored port that does not exist on either engine, and
+// an unwritable -series prefix.
+func TestRunSeriesRejectsBadArgs(t *testing.T) {
+	small := []string{"-racks", "2", "-hosts", "3", "-load", "0.4"}
+	wantRunErrors(t, []runErrorCase{
+		{append(small, "-scheduler", "bogus", "-series", t.TempDir()+"/run"), "unknown scheduler"},
+		{append(small, "-port", "6"), "monitor port 6"},
+		{append(small, "-port", "-1"), "monitor port -1"},
+		{append(small, "-shards", "2", "-port", "6"), "monitor port 6"},
+		{append(small, "-shards", "2", "-port", "-1"), "monitor port -1"},
+		{append(small, "-series", "/nonexistent-dir/run"), "create /nonexistent-dir/run_queue.csv"},
+	})
 }
